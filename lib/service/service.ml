@@ -226,25 +226,18 @@ let run_measured ?obs ?profile ~wl (params : params) =
   in
   let corrupt_at = storm_entries ~n ~seed:params.seed params.faults in
   let drop = drop_fn ~seed:params.seed params.faults.omission in
-  let t0 = Sys.time () in
+  let t0 = Ftss_profile.Profile.now_ns () in
   let result =
     Sim.run ?obs ?profile ~corrupt_at ?drop config
       (process ?obs ?profile ~wl ~params ~oracle ())
   in
-  let wall_seconds = Sys.time () -. t0 in
+  let wall_seconds = float_of_int (Ftss_profile.Profile.now_ns () - t0) *. 1e-9 in
   (* Survivors and the reference replica (lowest live pid). *)
   let live = ref [] in
   Array.iteri
     (fun p s -> match s with Some s -> live := (p, s) :: !live | None -> ())
     result.Sim.final_states;
   let live = List.rev !live in
-  if Sys.getenv_opt "TOB_DEBUG" <> None then
-    List.iter
-      (fun (p, s) ->
-        Printf.eprintf "p%d: committed=%d content=%d kvrec=%d recov=%d\n%!" p
-          (Tob.committed s.tob) (Tob.content_digest s.tob) (Tob.kv_recomputed s.tob)
-          (Tob.recoveries s.tob))
-      live;
   let reference = match live with (_, s) :: _ -> Some s | [] -> None in
   let committed_slots =
     List.fold_left
@@ -517,9 +510,9 @@ let run_sharded ?obs ?profile ?(domains = 1) ~shards ~spec (params : params) =
              domain claims the shard). *)
           run_measured ?profile:lane ~wl (shard_params params ~shard:i))
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Prof.now_ns () in
   let parts = Sim.run_shards ~domains ?profile thunks in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = float_of_int (Prof.now_ns () - t0) *. 1e-9 in
   let merge_lane = Option.map (fun t -> Prof.lane t "svc.main") profile in
   (match merge_lane with Some l -> Prof.enter l Prof.Phase.chunk_merge | None -> ());
   let report, _ = merge_reports ~params ~wall_seconds parts in

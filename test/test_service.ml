@@ -39,9 +39,24 @@ let test_kv_incremental_digest_matches_recompute () =
       { Kv.id; kind; key = Rng.int rng 64; v1 = Rng.int rng 16; v2 = Rng.int rng 100 }
   done;
   check_int "incremental = recompute" (Kv.recompute_digest t) (Kv.digest t);
+  let bindings () = List.init 64 (fun k -> (Kv.mem t k, Kv.get t k)) in
+  let before = bindings () in
   Kv.corrupt rng ~keys:64 t;
-  (* after raw scrambling, recompute is the ground truth the audit uses *)
-  check "recompute independent of field" true (Kv.recompute_digest t >= 0)
+  (* After raw scrambling, recompute is the ground truth the audit uses:
+     the fold of exactly the surviving bindings (every key lies in
+     [0, 64)), ... *)
+  let fold =
+    List.fold_left
+      (fun acc (k, (live, v)) ->
+        if live then (acc + Kv_ref.entry_digest k v) land max_int else acc)
+      0
+      (List.mapi (fun k b -> (k, b)) (bindings ()))
+  in
+  check_int "recompute = fold of surviving bindings" fold (Kv.recompute_digest t);
+  (* ... and, since this seed's corruption rewrote the table, it no
+     longer matches the incremental field: what the audit detects. *)
+  check "corruption touched the table" true (bindings () <> before);
+  check "audit detects the corruption" true (Kv.recompute_digest t <> Kv.digest t)
 
 let test_kv_order_independence () =
   (* state digest is order-independent; batch digest is order-dependent *)
@@ -55,6 +70,145 @@ let test_kv_order_independence () =
   check_int "state digest order-free" (Kv.digest a) (Kv.digest b);
   check "batch digest order-sensitive" true
     (Kv.batch_digest [| o1; o2 |] <> Kv.batch_digest [| o2; o1 |])
+
+(* --- Kv against the Hashtbl reference model --- *)
+
+type models = { kv : Kv.t; rf : Kv_ref.t }
+
+let models () = { kv = Kv.create (); rf = Kv_ref.create () }
+
+(* Every observation of the two models must agree; [probe] lists the keys
+   whose [get]/[mem] are compared. [full] adds the table recomputes, which
+   are linear in the table size. *)
+let agree ?(full = true) ?(probe = []) ctx m =
+  let fail what = Alcotest.failf "%s: %s differs" ctx what in
+  if Kv.cardinal m.kv <> Kv_ref.cardinal m.rf then fail "cardinal";
+  if Kv.digest m.kv <> Kv_ref.digest m.rf then fail "digest";
+  if full && Kv.recompute_digest m.kv <> Kv_ref.recompute_digest m.rf then
+    fail "recompute_digest";
+  List.iter
+    (fun k ->
+      if Kv.get m.kv k <> Kv_ref.get m.rf k then fail (Printf.sprintf "get %d" k);
+      if Kv.mem m.kv k <> Kv_ref.mem m.rf k then fail (Printf.sprintf "mem %d" k))
+    probe
+
+let apply_both m o =
+  Kv.apply m.kv o;
+  Kv_ref.apply m.rf o
+
+let reset_both m =
+  Kv.reset m.kv;
+  Kv_ref.reset m.rf
+
+(* Corrupt both from the same RNG state; the two must then also leave the
+   RNG in the same state, compared by the next draw. *)
+let corrupt_both ctx rng ~keys m =
+  let rng_ref = Rng.copy rng in
+  Kv.corrupt rng ~keys m.kv;
+  Kv_ref.corrupt rng_ref ~keys m.rf;
+  if Rng.bits64 rng <> Rng.bits64 rng_ref then
+    Alcotest.failf "%s: corrupt left the RNG in a different state" ctx
+
+let extreme_keys = [ min_int; min_int + 1; max_int; max_int - 1; -1; 0 ]
+
+let random_op rng ~id ~key =
+  let kind =
+    match Rng.int rng 4 with 0 -> Kv.Get | 1 -> Kv.Put | 2 -> Kv.Cas | _ -> Kv.Delete
+  in
+  let value () =
+    if Rng.chance rng 0.05 then Rng.pick rng [ min_int; max_int; -1 ] else Rng.int rng 4
+  in
+  let v1 = value () in
+  { Kv.id; kind; key; v1; v2 = value () }
+
+let test_kv_model_small_and_extreme_keys () =
+  let universe = List.init 33 (fun i -> i - 16) @ extreme_keys in
+  for seed = 0 to 3 do
+    let rng = Rng.create seed and m = models () in
+    for id = 0 to 5_000 do
+      let ctx = Printf.sprintf "seed %d step %d" seed id in
+      if Rng.chance rng 0.002 then reset_both m
+      else if Rng.chance rng 0.01 then corrupt_both ctx rng ~keys:16 m
+      else apply_both m (random_op rng ~id ~key:(Rng.pick rng universe));
+      agree ~probe:universe ctx m
+    done
+  done
+
+(* Wide random keys (any int, [min_int] included) through several
+   doublings of the table, with deletes, a reset, a regrowth and
+   corruption of a large table. The recomputes run every step while the
+   table is small, across the first growth thresholds, then periodically. *)
+let test_kv_model_growth_and_reset () =
+  let rng = Rng.create 42 and m = models () in
+  (* every key written so far, probed in full every 1,000 steps *)
+  let seen = Array.make 16_000 0 and n_seen = ref 0 in
+  let seen_keys () = Array.to_list (Array.sub seen 0 !n_seen) in
+  let id = ref 0 in
+  let phase name steps =
+    for step = 1 to steps do
+      incr id;
+      let ctx = Printf.sprintf "%s step %d" name step in
+      let key =
+        if !n_seen > 0 && Rng.chance rng 0.3 then seen.(Rng.int rng !n_seen)
+        else if Rng.chance rng 0.01 then Rng.pick rng extreme_keys
+        else Int64.to_int (Rng.bits64 rng)
+      in
+      let o =
+        if Rng.chance rng 0.25 then { (random_op rng ~id:!id ~key) with Kv.kind = Kv.Delete }
+        else { Kv.id = !id; kind = Kv.Put; key; v1 = Rng.int rng 1_000; v2 = 0 }
+      in
+      apply_both m o;
+      seen.(!n_seen) <- key;
+      incr n_seen;
+      let full = Kv.cardinal m.kv < 2_000 || step mod 97 = 0 in
+      agree ~full ~probe:[ key ] ctx m;
+      if step mod 1_000 = 0 then agree ~probe:(seen_keys ()) ctx m
+    done;
+    agree ~probe:(seen_keys ()) name m
+  in
+  phase "grow" 12_000;
+  check "grew past several doublings" true (Kv.cardinal m.kv > 6_000);
+  corrupt_both "corrupt large" rng ~keys:65536 m;
+  agree "corrupt large" m;
+  reset_both m;
+  agree ~probe:(seen_keys ()) "reset" m;
+  check_int "reset empties" 0 (Kv.cardinal m.kv);
+  phase "regrow" 4_000;
+  for i = 1 to 20 do
+    corrupt_both (Printf.sprintf "corrupt %d" i) rng ~keys:4096 m;
+    agree "corrupt" m
+  done
+
+(* Backward-shift deletion across the array end. The keys are chosen to
+   hash to the last slots of a fresh table (this mirrors [Kv]'s current
+   home-slot function; were it changed, the test would still check the
+   same deletes, only less pointedly), so their probe run wraps to the
+   front, where keys homed at slot 0 queue behind it. *)
+let test_kv_model_wrapping_deletes () =
+  let bits = 10 in
+  let home k = (k * 0x4F1B_BCDC_BFA5_3E0B) lsr (Sys.int_size - bits) in
+  let cap = 1 lsl bits in
+  let homed_in pred n =
+    Seq.ints 1 |> Seq.filter (fun k -> pred (home k)) |> Seq.take n |> List.of_seq
+  in
+  let tail = homed_in (fun h -> h >= cap - 6) 30 in
+  let front = homed_in (fun h -> h <= 2) 20 in
+  let rng = Rng.create 7 and m = models () in
+  let keys = Rng.shuffle rng (tail @ front) in
+  List.iteri
+    (fun id key -> apply_both m { Kv.id; kind = Kv.Put; key; v1 = id; v2 = 0 })
+    keys;
+  (* filler up to just under the growth threshold, so nothing rehashes *)
+  for id = 0 to 600 do
+    apply_both m { Kv.id; kind = Kv.Put; key = -1 - id; v1 = id; v2 = 0 }
+  done;
+  agree ~probe:keys "filled" m;
+  List.iteri
+    (fun i key ->
+      apply_both m { Kv.id = i; kind = Kv.Delete; key; v1 = 0; v2 = 0 };
+      agree ~probe:keys (Printf.sprintf "delete %d" i) m)
+    (Rng.shuffle rng keys);
+  check_int "only filler left" 601 (Kv.cardinal m.kv)
 
 (* --- Workload --- *)
 
@@ -267,6 +421,12 @@ let suite =
           test_kv_incremental_digest_matches_recompute;
         Alcotest.test_case "kv digest order (in)dependence" `Quick
           test_kv_order_independence;
+        Alcotest.test_case "kv = model: small and extreme keys" `Quick
+          test_kv_model_small_and_extreme_keys;
+        Alcotest.test_case "kv = model: growth, reset, corrupt" `Quick
+          test_kv_model_growth_and_reset;
+        Alcotest.test_case "kv = model: deletes wrapping the array end" `Quick
+          test_kv_model_wrapping_deletes;
         Alcotest.test_case "workload shape" `Quick test_workload_shape;
         Alcotest.test_case "workload determinism" `Quick test_workload_determinism;
         Alcotest.test_case "mv consensus agreement" `Quick test_mv_agreement;
