@@ -21,7 +21,25 @@ let op_digest o =
   let k = match o.kind with Get -> 0 | Put -> 1 | Cas -> 2 | Delete -> 3 in
   mix (mix (mix o.id k) (mix o.key o.v1)) o.v2
 
-let batch_digest ops = Array.fold_left (fun h o -> chain h (op_digest o)) 1 ops
+(* A log entry. Batches are immutable once made, so the order-dependent
+   digest is a pure function of the ops and is folded at most once, on
+   first use, into [dig] ([-1] = not yet folded; every digest is
+   non-negative). A decided batch is one physical value shared by every
+   replica's log, so one fold serves every commit, audit, rebuild and
+   convergence check that reaches it. Faults relocate references to
+   batches, they never rewrite one in place: that is what keeps a memo
+   fresh. *)
+module Batch = struct
+  type t = { ops : op array; mutable dig : int }
+
+  let make ops = { ops; dig = -1 }
+  let length b = Array.length b.ops
+  let iter f b = Array.iter f b.ops
+
+  let digest b =
+    if b.dig < 0 then b.dig <- Array.fold_left (fun h o -> chain h (op_digest o)) 1 b.ops;
+    b.dig
+end
 
 (* The replica state digest is an order-independent sum (mod 2^62) of one
    mix per live entry, so [apply] maintains it in O(1): subtract the old

@@ -27,8 +27,28 @@ val chain : int -> int -> int
 
 val op_digest : op -> int
 
-(** Order-dependent digest of one batch (a log entry). *)
-val batch_digest : op array -> int
+(** One log entry: an immutable batch of operations with its
+    order-dependent digest.
+
+    Invariant: a batch is never rewritten in place. Faults relocate
+    references to batches (a blanked log slot holds a different, empty
+    batch), so the digest can be fixed on first use and shared by every
+    replica holding the same batch. *)
+module Batch : sig
+  type t
+
+  (** [make ops] takes ownership of [ops]: the caller must not mutate
+      the array afterwards. *)
+  val make : op array -> t
+
+  val length : t -> int
+  val iter : (op -> unit) -> t -> unit
+
+  (** The order-dependent chain of {!op_digest}s over the ops, seeded
+      with 1 (so the empty batch digests to 1). Folded on first call,
+      then returned from the batch itself. *)
+  val digest : t -> int
+end
 
 type t
 

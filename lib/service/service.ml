@@ -197,7 +197,8 @@ let percentiles_of h =
 
 (* [run_measured] is [run] plus the raw latency histogram, which the
    sharded driver merges across shards before taking percentiles
-   (percentiles of percentiles would be wrong). *)
+   (percentiles of percentiles would be wrong), and the live replicas'
+   final states. *)
 let run_measured ?obs ?profile ~wl (params : params) =
   let n = params.n in
   let horizon =
@@ -263,7 +264,7 @@ let run_measured ?obs ?profile ~wl (params : params) =
   (match reference with
   | Some s ->
     for slot = 0 to Tob.committed s.tob - 1 do
-      Array.iter
+      Kv.Batch.iter
         (fun (o : Kv.op) ->
           incr committed_ops;
           if o.Kv.id >= 0 && o.Kv.id < total && slot_of.(o.Kv.id) < 0 then begin
@@ -399,10 +400,15 @@ let run_measured ?obs ?profile ~wl (params : params) =
       delivered = result.Sim.delivered;
       dropped = result.Sim.dropped_after_crash + result.Sim.dropped_by_adversary;
     },
-    lat )
+    lat,
+    List.map (fun (p, s) -> (p, s.tob)) live )
+
+let run_with_replicas ?obs ?profile ~wl (params : params) =
+  let report, _, replicas = run_measured ?obs ?profile ~wl params in
+  (report, replicas)
 
 let run ?obs ?profile ~wl (params : params) =
-  fst (run_measured ?obs ?profile ~wl params)
+  fst (run_with_replicas ?obs ?profile ~wl params)
 
 (* --- sharding --- *)
 
@@ -508,7 +514,10 @@ let run_sharded ?obs ?profile ?(domains = 1) ~shards ~spec (params : params) =
              after the merge instead. Profiler lanes are domain-safe by
              construction (one lane per shard, each owned by whichever
              domain claims the shard). *)
-          run_measured ?profile:lane ~wl (shard_params params ~shard:i))
+          let report, lat, _ =
+            run_measured ?profile:lane ~wl (shard_params params ~shard:i)
+          in
+          (report, lat))
   in
   let t0 = Prof.now_ns () in
   let parts = Sim.run_shards ~domains ?profile thunks in

@@ -81,6 +81,16 @@ val run :
   params ->
   report
 
+(** [run_with_replicas] is {!run} that also returns the final state of
+    every live replica, in pid order, for inspecting the committed logs
+    after the run. *)
+val run_with_replicas :
+  ?obs:Ftss_obs.Obs.t ->
+  ?profile:Ftss_profile.Profile.lane ->
+  wl:Workload.t ->
+  params ->
+  report * (Pid.t * Tob.t) list
+
 (** [run_sharded ?obs ?domains ~shards ~spec params] partitions the
     workload spec into [shards] independent replica towers (ops and
     sessions split evenly, per-shard generator and simulation seeds mixed

@@ -12,12 +12,12 @@ type style = { retransmit : bool; recover : bool }
 let self_stabilizing = { retransmit = true; recover = true }
 let baseline = { retransmit = false; recover = false }
 
-type batch = Kv.op array
+type batch = Kv.Batch.t
 
 type msg =
   | Cons of { slot : int; m : batch Mv_consensus.msg }
   | Decide of { slot : int; batch : batch }
-  | Fwd of batch
+  | Fwd of Kv.op array
   | Tag of { len : int; round : int; cp : int; cp_log : int; kvh : int; kv_d : int }
   | Pull_req of { from : int }
   | Pull_rep of { from : int; entries : batch array }
@@ -110,10 +110,17 @@ let mark_done t (o : Kv.op) =
 
 (* --- log storage --- *)
 
+(* Filler for unused log capacity: an empty batch, digested up front so
+   replicas on different domains only ever read its memo. *)
+let blank =
+  let b = Kv.Batch.make [||] in
+  ignore (Kv.Batch.digest b);
+  b
+
 let ensure_log_cap t k =
   if k > Array.length t.log then begin
     let cap = max (2 * Array.length t.log) k in
-    let log = Array.make cap [||] in
+    let log = Array.make cap blank in
     Array.blit t.log 0 log 0 (Array.length t.log);
     t.log <- log
   end;
@@ -172,7 +179,7 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(checkpoint = 64)
       checkpoint;
       obs;
       prof = profile;
-      log = Array.make 64 [||];
+      log = Array.make 64 blank;
       committed = 0;
       pdig = Array.make 65 0;
       kv = Kv.create ();
@@ -217,7 +224,7 @@ let kv t = t.kv
 let content_digest t =
   let h = ref 0 in
   for i = 0 to t.committed - 1 do
-    h := Kv.chain !h (Kv.batch_digest t.log.(i))
+    h := Kv.chain !h (Kv.Batch.digest t.log.(i))
   done;
   !h
 
@@ -260,13 +267,13 @@ let make_batch t =
          end)
        t.queue
    with Exit -> ());
-  Array.of_list (List.rev !acc)
+  Kv.Batch.make (Array.of_list (List.rev !acc))
 
 (* --- applying the log --- *)
 
 let apply_forward t ~now =
   while t.applied < t.committed do
-    Kv.apply_batch t.kv t.log.(t.applied);
+    Kv.Batch.iter (Kv.apply t.kv) t.log.(t.applied);
     t.applied <- t.applied + 1;
     let digest = Kv.digest t.kv in
     note t (Applied { slot = t.applied - 1; digest });
@@ -282,14 +289,13 @@ let apply_forward t ~now =
 let commit_batch t ~now batch =
   ensure_log_cap t (t.committed + 1);
   t.log.(t.committed) <- batch;
-  t.pdig.(t.committed + 1) <- Kv.chain t.pdig.(t.committed) (Kv.batch_digest batch);
+  t.pdig.(t.committed + 1) <- Kv.chain t.pdig.(t.committed) (Kv.Batch.digest batch);
   t.committed <- t.committed + 1;
-  Array.iter (mark_done t) batch;
+  Kv.Batch.iter (mark_done t) batch;
   t.engine <- None;
-  note t (Committed { slot = t.committed - 1; ops = Array.length batch });
-  emit t ~now
-    (Ftss_obs.Event.Commit
-       { pid = t.self; slot = t.committed - 1; ops = Array.length batch });
+  let ops = Kv.Batch.length batch in
+  note t (Committed { slot = t.committed - 1; ops });
+  emit t ~now (Ftss_obs.Event.Commit { pid = t.self; slot = t.committed - 1; ops });
   apply_forward t ~now
 
 let rec drain_future t ~now =
@@ -312,7 +318,7 @@ let map_outs slot outs =
 let enter_engine t =
   let proposal = make_batch t in
   let eng, outs =
-    Mv_consensus.create ~n:t.n ~self:t.self ~base:t.committed ~weight:Array.length
+    Mv_consensus.create ~n:t.n ~self:t.self ~base:t.committed ~weight:Kv.Batch.length
       ~proposal
   in
   t.engine <- Some eng;
@@ -336,7 +342,7 @@ let rebuild_from_log t ~now =
   ensure_log_cap t t.committed;
   t.pdig.(0) <- 0;
   for i = 0 to t.committed - 1 do
-    t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.batch_digest t.log.(i))
+    t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.Batch.digest t.log.(i))
   done;
   Kv.reset t.kv;
   t.applied <- 0;
@@ -345,7 +351,7 @@ let rebuild_from_log t ~now =
   Bytes.fill t.queued 0 (Bytes.length t.queued) '\000';
   Bytes.fill t.donebits 0 (Bytes.length t.donebits) '\000';
   for i = 0 to t.committed - 1 do
-    Array.iter (mark_done t) t.log.(i)
+    Kv.Batch.iter (mark_done t) t.log.(i)
   done;
   let keep = Queue.create () in
   Queue.iter
@@ -400,7 +406,7 @@ let audit t ~now =
       let stop = min t.committed (t.audit_cursor + audit_window) in
       let h = ref t.pdig.(t.audit_cursor) in
       for i = t.audit_cursor to stop - 1 do
-        h := Kv.chain !h (Kv.batch_digest t.log.(i))
+        h := Kv.chain !h (Kv.Batch.digest t.log.(i))
       done;
       let ok = !h = t.pdig.(stop) in
       t.audit_cursor <- stop;
@@ -518,7 +524,7 @@ let on_pull_rep t ~now ~src ~from ~entries =
        common case for a divergence with no length gap. A reply identical
        to what we hold is a no-op. *)
     t.pull <- None;
-    let adopted = Array.fold_left (fun h b -> Kv.chain h (Kv.batch_digest b)) 0 entries in
+    let adopted = Array.fold_left (fun h b -> Kv.chain h (Kv.Batch.digest b)) 0 entries in
     if len = t.committed && adopted = content_digest t then []
     else begin
       ensure_log_cap t len;
@@ -543,8 +549,8 @@ let on_pull_rep t ~now ~src ~from ~entries =
     Array.blit entries offset t.log t.committed (len - offset);
     t.committed <- from + len;
     for i = from + offset to t.committed - 1 do
-      t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.batch_digest t.log.(i));
-      Array.iter (mark_done t) t.log.(i)
+      t.pdig.(i + 1) <- Kv.chain t.pdig.(i) (Kv.Batch.digest t.log.(i));
+      Kv.Batch.iter (mark_done t) t.log.(i)
     done;
     t.engine <- None;
     apply_forward t ~now;
@@ -729,7 +735,7 @@ let corrupt rng t =
     | 2 -> Kv.corrupt rng ~keys:65536 t.kv
     | 3 -> t.applied <- Rng.int rng (max 1 (t.committed + 1))
     | 4 -> t.engine <- Option.map (Mv_consensus.corrupt rng ~round_bound:64) t.engine
-    | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- [||]
+    | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- Kv.Batch.make [||]
   done;
   (* The guard is deliberately left stale: a transient fault does not
      maintain the redundancy that detects it. *)

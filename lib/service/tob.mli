@@ -39,13 +39,16 @@ type style = { retransmit : bool; recover : bool }
 val self_stabilizing : style
 val baseline : style
 
-type batch = Kv.op array
+(** A log entry: a proposal, a decision, a committed slot. A decided
+    batch is one physical {!Kv.Batch.t} shared by every replica that
+    commits it, so its digest is folded once for all of them. *)
+type batch = Kv.Batch.t
 
 type msg =
   | Cons of { slot : int; m : batch Mv_consensus.msg }
       (** consensus traffic for one slot *)
   | Decide of { slot : int; batch : batch }  (** decision dissemination *)
-  | Fwd of batch  (** client-op forwarding to all replicas *)
+  | Fwd of Kv.op array  (** client-op forwarding to all replicas *)
   | Tag of { len : int; round : int; cp : int; cp_log : int; kvh : int; kv_d : int }
       (** the gossip heartbeat: log length, current consensus round,
           checkpoint height + log digest there, KV snapshot height +
@@ -102,8 +105,10 @@ val applied : t -> int
 (** Chained digest of the committed log prefix (the maintained field). *)
 val log_digest : t -> int
 
-(** Chained digest recomputed from log content — ground truth for the
-    convergence oracle. *)
+(** Chained digest of the committed log content — ground truth for the
+    convergence oracle. It re-chains the per-batch digests, each fixed on
+    first use from the batch's ops ({!Kv.Batch.digest}), so it ignores
+    the maintained prefix digests but not the log entries themselves. *)
 val content_digest : t -> int
 
 (** Incrementally maintained KV digest. *)
@@ -119,7 +124,9 @@ val drain_notes : t -> note list
 
 (** Systemic-failure scrambling: counters, prefix digests, KV table, log
     entries, bitsets, and the engine, chosen at random — the guard is
-    deliberately left stale. Pending-queue contents are never destroyed
-    (the adversary corrupts replica state, it does not retract client
-    submissions). *)
+    deliberately left stale. A log entry is corrupted by relocation: the
+    slot is pointed at a fresh empty batch (digest 1), the batch it held
+    is never rewritten, so every batch digest stays true to its ops.
+    Pending-queue contents are never destroyed (the adversary corrupts
+    replica state, it does not retract client submissions). *)
 val corrupt : Rng.t -> t -> t

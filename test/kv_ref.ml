@@ -9,6 +9,15 @@ open Ftss_service
 
 let entry_digest key value = Kv.mix (Kv.mix 0xD1_6E57 key) value
 
+(* The from-scratch batch digest: the order-dependent chain of op digests
+   seeded with 1, folded afresh on every call. *)
+let batch_digest ops = Array.fold_left (fun h o -> Kv.chain h (Kv.op_digest o)) 1 ops
+
+let batch_ops b =
+  let ops = ref [] in
+  Kv.Batch.iter (fun o -> ops := o :: !ops) b;
+  Array.of_list (List.rev !ops)
+
 type t = { tbl : (int, int) Hashtbl.t; mutable dig : int }
 
 let create () = { tbl = Hashtbl.create 1024; dig = 0 }

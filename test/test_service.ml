@@ -69,7 +69,8 @@ let test_kv_order_independence () =
   Kv.apply b o1;
   check_int "state digest order-free" (Kv.digest a) (Kv.digest b);
   check "batch digest order-sensitive" true
-    (Kv.batch_digest [| o1; o2 |] <> Kv.batch_digest [| o2; o1 |])
+    (Kv.Batch.digest (Kv.Batch.make [| o1; o2 |])
+    <> Kv.Batch.digest (Kv.Batch.make [| o2; o1 |]))
 
 (* --- Kv against the Hashtbl reference model --- *)
 
@@ -210,6 +211,27 @@ let test_kv_model_wrapping_deletes () =
     (Rng.shuffle rng keys);
   check_int "only filler left" 601 (Kv.cardinal m.kv)
 
+(* The batch memo is the from-scratch fold, computed once: for the empty
+   batch (digest 1) and for random batches, every call agrees with a
+   fresh fold of the ops. *)
+let test_kv_batch_digest_is_the_fold () =
+  let rng = Rng.create 17 in
+  let empty = Kv.Batch.make [||] in
+  check_int "empty batch digests to 1" 1 (Kv.Batch.digest empty);
+  check_int "empty batch, again" 1 (Kv.Batch.digest empty);
+  for trial = 0 to 199 do
+    let len = if trial < 8 then trial else Rng.int rng 600 in
+    let ops =
+      Array.init len (fun id -> random_op rng ~id ~key:(Rng.int rng 1000 - 500))
+    in
+    let b = Kv.Batch.make ops in
+    let ctx = Printf.sprintf "trial %d (%d ops)" trial len in
+    check_int (ctx ^ ": length") len (Kv.Batch.length b);
+    check_int (ctx ^ ": digest = fold") (Kv_ref.batch_digest ops) (Kv.Batch.digest b);
+    check_int (ctx ^ ": repeatable") (Kv_ref.batch_digest ops) (Kv.Batch.digest b);
+    check (ctx ^ ": ops read back") true (Kv_ref.batch_ops b = ops)
+  done
+
 (* --- Workload --- *)
 
 let small_spec =
@@ -314,26 +336,30 @@ let test_service_fault_free () =
   check "latency measured" true (r.Service.latency <> None);
   check "all committed ops measured" true (r.Service.measured_ops >= r.Service.unique_ops)
 
+(* The stormy run shared by the convergence property and the batch-memo
+   freshness test. *)
+let faulted_n = 5
+let faulted_wl () = tiny_wl ~seed:8 ~ops:5_000 ~window:2_000 faulted_n
+
+let faulted_params =
+  {
+    (Service.default_params ~n:faulted_n ~seed:9) with
+    Service.faults =
+      {
+        Service.storms = [ (900, 2); (1_400, 2) ];
+        omission = [ (600, 800, 0.3) ];
+        crashes = [ (4, 1_000) ];
+      };
+  }
+
 (* The convergence property: under injected crash, omission and
    corruption-storm faults, the self-stabilizing tower still converges —
    equal logs and KV digests on every live replica, and every fully
    shared slot applied with the same digest everywhere (the quiescent
    points of the run). *)
 let test_service_converges_under_faults () =
-  let n = 5 in
-  let wl = tiny_wl ~seed:8 ~ops:5_000 ~window:2_000 n in
-  let params =
-    {
-      (Service.default_params ~n ~seed:9) with
-      Service.faults =
-        {
-          Service.storms = [ (900, 2); (1_400, 2) ];
-          omission = [ (600, 800, 0.3) ];
-          crashes = [ (4, 1_000) ];
-        };
-    }
-  in
-  let r = Service.run ~wl params in
+  let wl = faulted_wl () in
+  let r = Service.run ~wl faulted_params in
   check "converged under faults" true r.Service.converged;
   check_int "every shared slot agrees" r.Service.slots_checked r.Service.slots_agreeing;
   (* Ops whose origin replica crashes may never enter the system (their
@@ -348,6 +374,81 @@ let test_service_converges_under_faults () =
   check "storms triggered repairs" true (r.Service.recoveries > 0);
   check "storm recovery measured" true
     (List.exists (fun (_, resumed, _) -> resumed <> None) r.Service.storm_recovery)
+
+(* Digest-once batches stay true to their ops: after the same stormy
+   run, every committed entry on every live replica digests to a fresh
+   fold of its ops, and each replica's maintained log digest equals the
+   chain of its entries. A stale memo fails here. *)
+let test_service_batch_memos_fresh_after_storms () =
+  let wl = faulted_wl () in
+  let r, replicas = Service.run_with_replicas ~wl faulted_params in
+  check "converged under faults" true r.Service.converged;
+  check_int "the crashed replica is gone" (faulted_n - 1) (List.length replicas);
+  List.iter
+    (fun (p, tob) ->
+      check (Printf.sprintf "replica %d committed" p) true (Tob.committed tob > 0);
+      for slot = 0 to Tob.committed tob - 1 do
+        let b = Tob.log_entry tob slot in
+        check_int
+          (Printf.sprintf "replica %d slot %d: memo = fold" p slot)
+          (Kv_ref.batch_digest (Kv_ref.batch_ops b))
+          (Kv.Batch.digest b)
+      done;
+      check_int
+        (Printf.sprintf "replica %d: log_digest = content_digest" p)
+        (Tob.content_digest tob) (Tob.log_digest tob))
+    replicas
+
+(* The audit path in isolation. The integrity guard hashes summary
+   fields only, so a log entry blanked behind the prefix digests is
+   caught by nothing but the cyclic audit's window re-chain. One replica
+   commits more than two audit windows (32 slots each) from [Decide]s;
+   the scramble below relocates one entry to an empty batch and leaves
+   every summary field alone. The audit must find it on the pass whose
+   window holds the entry, well within one full cycle of windows, and
+   local recovery must re-digest the log honestly. *)
+let test_tob_audit_catches_blanked_entry () =
+  let slots = 80 and audit_interval = 64 and audit_window = 32 in
+  let batch slot =
+    Kv.Batch.make
+      (Array.init 4 (fun j ->
+           { Kv.id = (4 * slot) + j; kind = Kv.Put; key = j; v1 = slot; v2 = 0 }))
+  in
+  let t =
+    Tob.create ~n:3 ~self:0 ~style:Tob.self_stabilizing ~batch_max:8 ~id_hint:(4 * slots)
+      ()
+  in
+  for slot = 0 to slots - 1 do
+    ignore (Tob.deliver t ~now:0 ~src:1 (Tob.Decide { slot; batch = batch slot }))
+  done;
+  check_int "committed" slots (Tob.committed t);
+  let summary t =
+    (Tob.committed t, Tob.applied t, Tob.log_digest t, Tob.kv_digest t, Tob.kv_recomputed t)
+  in
+  let before = summary t and content = Tob.content_digest t in
+  check_int "honest log" content (Tob.log_digest t);
+  (* Seed 48's scramble blanks slot 77, in the third audit window, and
+     touches nothing the guard hashes. *)
+  let blanked = 77 in
+  ignore (Tob.corrupt (Rng.create 48) t);
+  check "summary fields untouched" true (summary t = before);
+  check "a live entry was blanked" true (Tob.content_digest t <> content);
+  check_int "the blanked slot" 0 (Kv.Batch.length (Tob.log_entry t blanked));
+  let bound = (((slots + audit_window - 1) / audit_window) + 1) * audit_interval in
+  let caught = ref None and tick = ref 0 in
+  while !caught = None && !tick < bound do
+    incr tick;
+    ignore (Tob.tick t ~now:!tick ~suspected:(fun _ -> false));
+    if Tob.recoveries t > 0 then caught := Some !tick
+  done;
+  match !caught with
+  | None -> Alcotest.failf "blanked entry not caught within %d ticks" bound
+  | Some at ->
+    check_int "caught by the pass over its window"
+      (((blanked / audit_window) + 1) * audit_interval)
+      at;
+    check_int "one recovery" 1 (Tob.recoveries t);
+    check_int "re-digested honestly" (Tob.content_digest t) (Tob.log_digest t)
 
 let test_service_baseline_has_no_repair () =
   let n = 5 in
@@ -421,6 +522,8 @@ let suite =
           test_kv_incremental_digest_matches_recompute;
         Alcotest.test_case "kv digest order (in)dependence" `Quick
           test_kv_order_independence;
+        Alcotest.test_case "kv batch digest = fold, memoized" `Quick
+          test_kv_batch_digest_is_the_fold;
         Alcotest.test_case "kv = model: small and extreme keys" `Quick
           test_kv_model_small_and_extreme_keys;
         Alcotest.test_case "kv = model: growth, reset, corrupt" `Quick
@@ -433,6 +536,10 @@ let suite =
         Alcotest.test_case "fault-free run converges" `Quick test_service_fault_free;
         Alcotest.test_case "faulted run converges (property)" `Quick
           test_service_converges_under_faults;
+        Alcotest.test_case "batch memos fresh after storms" `Quick
+          test_service_batch_memos_fresh_after_storms;
+        Alcotest.test_case "audit catches a blanked log entry" `Quick
+          test_tob_audit_catches_blanked_entry;
         Alcotest.test_case "baseline never repairs" `Quick
           test_service_baseline_has_no_repair;
         Alcotest.test_case "golden determinism" `Quick test_service_golden_determinism;
