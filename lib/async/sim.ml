@@ -2,18 +2,54 @@ open Ftss_util
 
 type time = int
 
+(* One step context per run, reused by every step: [now]/[self] are
+   rewritten before each step, and the outbox is a pair of growable
+   parallel arrays (destinations and untyped payloads) flushed and
+   emptied after it, so sending allocates nothing once the arrays have
+   grown to the largest step's fan-out. The payload array is created
+   from an immediate, so it is never a flat float array and any ['m] can
+   be stored in it. *)
 type ('m, 'o) ctx = {
-  ctx_now : time;
-  ctx_self : Pid.t;
+  mutable ctx_now : time;
+  mutable ctx_self : Pid.t;
   ctx_n : int;
-  mutable outbox : (Pid.t * 'm) list; (* reversed *)
+  mutable out_dst : int array;
+  mutable out_msg : Obj.t array;
+  mutable out_len : int;
   mutable observations : 'o list; (* reversed *)
 }
 
-let send ctx dst msg = ctx.outbox <- (dst, msg) :: ctx.outbox
+let outbox_capacity = 32 (* initial; doubles on demand *)
+
+let make_ctx n =
+  {
+    ctx_now = 0;
+    ctx_self = 0;
+    ctx_n = n;
+    out_dst = Array.make outbox_capacity 0;
+    out_msg = Array.make outbox_capacity (Obj.repr 0);
+    out_len = 0;
+    observations = [];
+  }
+
+let grow_outbox ctx =
+  let cap = 2 * Array.length ctx.out_dst in
+  let dst = Array.make cap 0 and msg = Array.make cap (Obj.repr 0) in
+  Array.blit ctx.out_dst 0 dst 0 ctx.out_len;
+  Array.blit ctx.out_msg 0 msg 0 ctx.out_len;
+  ctx.out_dst <- dst;
+  ctx.out_msg <- msg
+
+let send ctx dst (msg : 'm) =
+  if ctx.out_len = Array.length ctx.out_dst then grow_outbox ctx;
+  ctx.out_dst.(ctx.out_len) <- dst;
+  ctx.out_msg.(ctx.out_len) <- Obj.repr msg;
+  ctx.out_len <- ctx.out_len + 1
 
 let broadcast ctx msg =
-  List.iter (fun dst -> send ctx dst msg) (Pid.all ctx.ctx_n)
+  for dst = 0 to ctx.ctx_n - 1 do
+    send ctx dst msg
+  done
 
 let observe ctx o = ctx.observations <- o :: ctx.observations
 let now ctx = ctx.ctx_now
@@ -161,53 +197,47 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
     let lo, hi = if at < config.gst then config.delay_before_gst else config.delay_after_gst in
     Rng.int_in rng (max 1 lo) (max 1 hi)
   in
-  let flush_ctx ctx =
-    List.iter
-      (fun (dst, msg) ->
-        if adversary_drops ~at:ctx.ctx_now ~src:ctx.ctx_self ~dst then begin
+  let ctx = make_ctx config.n in
+  (* Flush the step's outbox in send order — the order the delay draws
+     and queue pushes have always followed — then its observations. Most
+     deliveries send nothing, so an empty outbox skips the flush loop and
+     the payload clear. *)
+  let flush_ctx () =
+    let now = ctx.ctx_now and src = ctx.ctx_self in
+    if ctx.out_len > 0 then begin
+      for i = 0 to ctx.out_len - 1 do
+        let dst = ctx.out_dst.(i) in
+        if adversary_drops ~at:now ~src ~dst then begin
           incr dropped_by_adversary;
           (* The process did send; the adversary suppressed the message in
              flight. Emitting the Send before the Drop keeps the trace
              uniform — every Drop has a matching Send — which the causal
              stamper relies on to pair drops with their suppressed sends. *)
           if traced then begin
-            emit
-              (Ftss_obs.Event.make ~time:ctx.ctx_now
-                 (Ftss_obs.Event.Send { src = ctx.ctx_self; dst = Some dst }));
-            emit
-              (Ftss_obs.Event.make ~time:ctx.ctx_now
-                 (Ftss_obs.Event.Drop { src = ctx.ctx_self; dst; blame = None }))
+            emit (Ftss_obs.Event.make ~time:now (Ftss_obs.Event.Send { src; dst = Some dst }));
+            emit (Ftss_obs.Event.make ~time:now (Ftss_obs.Event.Drop { src; dst; blame = None }))
           end
         end
         else begin
-          let t = ctx.ctx_now + delay ~at:ctx.ctx_now in
+          let t = now + delay ~at:now in
           if traced then
-            emit
-              (Ftss_obs.Event.make ~time:ctx.ctx_now
-                 (Ftss_obs.Event.Send { src = ctx.ctx_self; dst = Some dst }));
-          push_deliver ~time:t ~src:ctx.ctx_self ~dst msg
-        end)
-      (List.rev ctx.outbox);
-    List.iter
-      (fun o -> log := (ctx.ctx_now, ctx.ctx_self, o) :: !log)
-      (List.rev ctx.observations)
+            emit (Ftss_obs.Event.make ~time:now (Ftss_obs.Event.Send { src; dst = Some dst }));
+          push_deliver ~time:t ~src ~dst (Obj.obj ctx.out_msg.(i))
+        end
+      done;
+      (* release the payloads: the outbox must not keep messages alive *)
+      Array.fill ctx.out_msg 0 ctx.out_len (Obj.repr 0);
+      ctx.out_len <- 0
+    end;
+    match ctx.observations with
+    | [] -> ()
+    | obs ->
+      List.iter (fun o -> log := (now, src, o) :: !log) (List.rev obs);
+      ctx.observations <- []
   in
-  let step p at f =
-    match states.(p) with
-    | None -> ()
-    | Some s ->
-      if alive p ~at then begin
-        let ctx =
-          { ctx_now = at; ctx_self = p; ctx_n = config.n; outbox = []; observations = [] }
-        in
-        let s' = f ctx s in
-        flush_ctx ctx;
-        states.(p) <- Some s'
-      end
-      else begin
-        states.(p) <- None;
-        note_dead p
-      end
+  let enter_step p at =
+    ctx.ctx_now <- at;
+    ctx.ctx_self <- p
   in
   (* Initial ticks, staggered so processes do not step in lockstep. *)
   List.iter
@@ -257,33 +287,39 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
         let tag = Event_queue.out_tag queue in
         pop_lap ();
         (match tag land 3 with
-        | k when k = kind_deliver ->
+        | k when k = kind_deliver -> (
           let src = tag_pid tag and dst = tag_dst tag in
-          if alive dst ~at:t && states.(dst) <> None then begin
+          match states.(dst) with
+          | Some s when alive dst ~at:t ->
             incr delivered;
             if traced then
               emit (Ftss_obs.Event.make ~time:t (Ftss_obs.Event.Deliver { src; dst }));
             let msg : 'm = Obj.obj (Event_queue.out_payload queue) in
             frame_enter Prof.Phase.sim_deliver;
-            step dst t (fun ctx s -> process.on_message ctx s ~src msg);
+            enter_step dst t;
+            let s' = process.on_message ctx s ~src msg in
+            flush_ctx ();
+            if s' != s then states.(dst) <- Some s';
             frame_leave ()
-          end
-          else begin
+          | _ ->
             incr dropped_after_crash;
             note_dead dst;
             if traced then
               emit
                 (Ftss_obs.Event.make ~time:t
-                   (Ftss_obs.Event.Drop { src; dst; blame = Some dst }))
-          end
-        | k when k = kind_tick ->
+                   (Ftss_obs.Event.Drop { src; dst; blame = Some dst })))
+        | k when k = kind_tick -> (
           let p = tag_pid tag in
-          if alive p ~at:t && states.(p) <> None then begin
+          match states.(p) with
+          | Some s when alive p ~at:t ->
             frame_enter Prof.Phase.sim_dispatch;
-            step p t process.on_tick;
+            enter_step p t;
+            let s' = process.on_tick ctx s in
+            flush_ctx ();
+            if s' != s then states.(p) <- Some s';
             push_tick ~time:(t + config.tick_interval) p;
             frame_leave ()
-          end
+          | _ -> ())
         | _ -> (
           (* A mid-run transient fault: the adversary rewrites p's state in
              place. The victim takes no step — it only discovers the damage

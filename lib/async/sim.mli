@@ -19,7 +19,12 @@ open Ftss_util
 
 type time = int
 
-(** What a step may do, accumulated through the context handle. *)
+(** What a step may do, accumulated through the context handle.
+
+    A [ctx] is valid only during the step it is passed to: {!run} reuses
+    one context for every step of a run, rewriting its time and pid and
+    emptying its outbox in between, so a process must not retain it or
+    send through it after the step returns. *)
 type ('m, 'o) ctx
 
 (** [send ctx dst msg] enqueues a point-to-point message. *)

@@ -121,13 +121,17 @@ let process ?obs ?profile ~wl ~params:(params : params) ~oracle () =
         let now = Sim.now ctx and self = Sim.self ctx in
         (* Client arrivals attached to this replica since the last tick. *)
         let ids = Workload.per_replica wl self in
-        let fresh = ref [] in
-        while s.cursor < Array.length ids && Workload.arrival wl ids.(s.cursor) <= now do
-          fresh := Workload.op wl ids.(s.cursor) :: !fresh;
-          s.cursor <- s.cursor + 1
+        let stop = ref s.cursor in
+        while !stop < Array.length ids && Workload.arrival wl ids.(!stop) <= now do
+          incr stop
         done;
-        if !fresh <> [] then
-          send_outs ctx (Tob.submit s.tob ~now (Array.of_list (List.rev !fresh)));
+        if !stop > s.cursor then begin
+          let first = s.cursor in
+          s.cursor <- !stop;
+          send_outs ctx
+            (Tob.submit s.tob ~now
+               (Array.init (!stop - first) (fun i -> Workload.op wl ids.(first + i))))
+        end;
         (* The failure-detector stack. *)
         let fd, fmsg =
           Esfd.tick s.fd ~self

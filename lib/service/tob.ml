@@ -48,9 +48,14 @@ type t = {
   mutable applied : int;
   mutable kvh : int; (* height of the last KV checkpoint snapshot *)
   mutable kv_cp : int; (* table-recomputed KV digest at that height *)
-  (* pending client operations: FIFO plus bitsets (indexed by op id) for
-     dedup and committed-filtering *)
-  queue : Kv.op Queue.t;
+  (* pending client operations: a FIFO over positions [pend_lo, pend_hi)
+     of [pend], a directory of [chunk]-op blocks, plus bitsets (indexed
+     by op id) for dedup and committed-filtering; [scratch] stages a
+     proposal (at most [batch_max] ops) *)
+  mutable pend : Kv.op array array;
+  mutable pend_lo : int;
+  mutable pend_hi : int;
+  mutable scratch : Kv.op array;
   mutable queued : Bytes.t;
   mutable donebits : Bytes.t;
   (* the consensus engine for slot [committed] *)
@@ -75,9 +80,23 @@ type t = {
   mutable recoveries : int;
 }
 
+let pend_blocks = 16 (* initial directory capacity; grows on demand *)
 let pull_patience = 5 (* ticks before an unanswered pull may be retried *)
 let audit_interval = 64 (* ticks between self-audits *)
 let audit_window = 32 (* log slots re-validated per audit *)
+
+(* Pending ops live in blocks of [chunk] ops, small enough to be
+   allocated in the minor heap and kept in the major heap's size-class
+   pools: one flat array of the peak pending count would be a large
+   allocation, copied on every doubling, and large blocks are what the
+   OCaml 5.1 major GC is slowest to reclaim when little else is
+   promoted. *)
+let chunk_bits = 6
+let chunk = 1 lsl chunk_bits
+let no_chunk : Kv.op array = [||]
+
+(* Filler for a fresh block's unused slots. *)
+let vacant = { Kv.id = -1; kind = Kv.Get; key = 0; v1 = 0; v2 = 0 }
 
 (* --- bitsets over op ids --- *)
 
@@ -186,7 +205,10 @@ let create ?obs ?profile ~n ~self ~style ~batch_max ?(checkpoint = 64)
       applied = 0;
       kvh = 0;
       kv_cp = 0;
-      queue = Queue.create ();
+      pend = Array.make pend_blocks no_chunk;
+      pend_lo = 0;
+      pend_hi = 0;
+      scratch = [||];
       queued = Bytes.make bytes '\000';
       donebits = Bytes.make bytes '\000';
       engine = None;
@@ -230,19 +252,51 @@ let content_digest t =
 
 (* --- pending queue --- *)
 
+let pend_get t p = t.pend.(p lsr chunk_bits).(p land (chunk - 1))
+let pend_set t p o = t.pend.(p lsr chunk_bits).(p land (chunk - 1)) <- o
+
+(* Drop the blocks of positions [from, until): they hold no live op. *)
+let release t ~from ~until =
+  for k = from lsr chunk_bits to (until - 1) lsr chunk_bits do
+    t.pend.(k) <- no_chunk
+  done
+
 let prune t =
-  let rec go () =
-    match Queue.peek_opt t.queue with
-    | Some o when is_done t o ->
-      ignore (Queue.pop t.queue);
-      go ()
-    | _ -> ()
-  in
-  go ()
+  let lo = t.pend_lo in
+  while t.pend_lo < t.pend_hi && is_done t (pend_get t t.pend_lo) do
+    t.pend_lo <- t.pend_lo + 1
+  done;
+  if t.pend_lo = t.pend_hi then begin
+    if t.pend_hi > lo then release t ~from:lo ~until:t.pend_hi;
+    t.pend_lo <- 0;
+    t.pend_hi <- 0
+  end
+  else if t.pend_lo lsr chunk_bits > lo lsr chunk_bits then
+    release t ~from:lo ~until:(t.pend_lo land lnot (chunk - 1))
 
 let has_pending t =
   prune t;
-  not (Queue.is_empty t.queue)
+  t.pend_lo < t.pend_hi
+
+(* The directory is full: slide the live blocks to the front, in order,
+   and double the directory only when more than half of it is live. *)
+let make_room t =
+  let first = t.pend_lo lsr chunk_bits and blocks = Array.length t.pend in
+  let live = blocks - first in
+  let dir = if 2 * live > blocks then Array.make (2 * blocks) no_chunk else t.pend in
+  Array.blit t.pend first dir 0 live;
+  if dir == t.pend then Array.fill dir live (blocks - live) no_chunk;
+  t.pend <- dir;
+  t.pend_lo <- t.pend_lo - (first lsl chunk_bits);
+  t.pend_hi <- t.pend_hi - (first lsl chunk_bits)
+
+let push t o =
+  if t.pend_hi land (chunk - 1) = 0 then begin
+    if t.pend_hi lsr chunk_bits = Array.length t.pend then make_room t;
+    t.pend.(t.pend_hi lsr chunk_bits) <- Array.make chunk vacant
+  end;
+  pend_set t t.pend_hi o;
+  t.pend_hi <- t.pend_hi + 1
 
 let enqueue_ops t ops =
   Array.iter
@@ -250,24 +304,26 @@ let enqueue_ops t ops =
       ensure_bits t o.Kv.id;
       if not (bit_get t.donebits o.Kv.id || bit_get t.queued o.Kv.id) then begin
         bit_set t.queued o.Kv.id;
-        Queue.add o t.queue
+        push t o
       end)
     ops
 
+(* The proposal: the first [batch_max] not-done pending ops, in FIFO
+   order, staged in [scratch] and copied out once. *)
 let make_batch t =
   prune t;
-  let acc = ref [] and count = ref 0 in
-  (try
-     Queue.iter
-       (fun o ->
-         if not (is_done t o) then begin
-           acc := o :: !acc;
-           incr count;
-           if !count >= t.batch_max then raise Exit
-         end)
-       t.queue
-   with Exit -> ());
-  Kv.Batch.make (Array.of_list (List.rev !acc))
+  let want = min t.batch_max (t.pend_hi - t.pend_lo) in
+  if Array.length t.scratch < want then t.scratch <- Array.make want vacant;
+  let count = ref 0 and i = ref t.pend_lo in
+  while !count < want && !i < t.pend_hi do
+    let o = pend_get t !i in
+    if not (is_done t o) then begin
+      t.scratch.(!count) <- o;
+      incr count
+    end;
+    incr i
+  done;
+  Kv.Batch.make (Array.sub t.scratch 0 !count)
 
 (* --- applying the log --- *)
 
@@ -353,16 +409,18 @@ let rebuild_from_log t ~now =
   for i = 0 to t.committed - 1 do
     Kv.Batch.iter (mark_done t) t.log.(i)
   done;
-  let keep = Queue.create () in
-  Queue.iter
-    (fun (o : Kv.op) ->
-      if not (is_done t o) && not (bit_get t.queued o.Kv.id) then begin
-        bit_set t.queued o.Kv.id;
-        Queue.add o keep
-      end)
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer keep t.queue;
+  let w = ref t.pend_lo in
+  for i = t.pend_lo to t.pend_hi - 1 do
+    let o = pend_get t i in
+    if not (is_done t o) && not (bit_get t.queued o.Kv.id) then begin
+      bit_set t.queued o.Kv.id;
+      pend_set t !w o;
+      incr w
+    end
+  done;
+  let block_end = (!w + chunk - 1) land lnot (chunk - 1) in
+  if t.pend_hi > block_end then release t ~from:block_end ~until:t.pend_hi;
+  t.pend_hi <- !w;
   t.engine <- None;
   Hashtbl.reset t.future;
   t.pull <- None;

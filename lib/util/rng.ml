@@ -3,44 +3,50 @@
    across platforms, unlike [Stdlib.Random] whose algorithm changed between
    OCaml releases. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes rather than in a mutable
+   [int64] field: a field store would box every new state, while
+   [Bytes.get/set_int64_ne] keep the whole step in registers, so the
+   [int], [int_in], [bool] and [chance] draws below allocate nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_state t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
-let mix z =
+(* Advance the state and return the mixed output; inlined so callers
+   consume the result unboxed. *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t = mix (next_state t)
-
-let split t =
-  let seed = bits64 t in
-  { state = seed }
+let bits64 t = next t
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int without
      wrapping negative. Modulo is slightly biased but the bias is < 2^-38
      for every bound used in this repository (all far below 2^24). *)
-  let raw = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  let raw = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   raw mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
-let float t bound =
-  let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+let[@inline] float t bound =
+  let raw = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (raw /. 9007199254740992.0 (* 2^53 *))
 
 let chance t p =

@@ -2,7 +2,13 @@
 
     Every randomized experiment in this repository draws from an explicit
     [Rng.t] created from an integer seed, so that every adversary schedule,
-    corruption and message delay is replayable. *)
+    corruption and message delay is replayable.
+
+    The generator state is held unboxed, so a draw allocates nothing:
+    [int], [int_in], [bool] and [chance] never touch the heap, and
+    [float] allocates only the boxed [float] it returns. [bits64] returns
+    a boxed [int64]; [create], [copy] and [split] allocate the new
+    generator. *)
 
 type t
 

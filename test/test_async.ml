@@ -295,6 +295,114 @@ let test_sim_large_n () =
   let result' = Sim.run config ring in
   check "large-n run replays bit-identically" true (result.Sim.log = result'.Sim.log)
 
+(* --- Engine allocation: the event loop itself allocates nothing per
+   event. A process that broadcasts one preallocated message per tick and
+   never changes its state allocates nothing either, so on a warm pool
+   every minor word a run allocates is fixed per-run set-up: doubling the
+   horizon doubles the delivered events and must add no words. --- *)
+
+let test_sim_engine_allocates_nothing_per_event () =
+  let n = 8 in
+  let beacon = Some 7 (* preallocated: broadcasting it allocates nothing *) in
+  let gossip : (unit, int option, unit) Sim.process =
+    {
+      Sim.name = "gossip";
+      init = (fun _ -> ());
+      on_tick = (fun ctx s -> Sim.broadcast ctx beacon; s);
+      on_message = (fun _ s ~src:_ _ -> s);
+    }
+  in
+  let pool = Sim.pool () in
+  let run horizon =
+    let config = { (Sim.default_config ~n ~seed:5) with Sim.horizon } in
+    let w0 = Gc.minor_words () in
+    let r = Sim.run ~pool config gossip in
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, r.Sim.delivered)
+  in
+  let h = 2000 in
+  ignore (run (2 * h)) (* warm the pool and the outbox *);
+  let w1, d1 = run h in
+  let w2, d2 = run (2 * h) in
+  check "the longer run delivers more" true (d2 - d1 > 1000);
+  Alcotest.(check (float 0.))
+    "extra minor words per extra delivered event" 0.
+    ((w2 -. w1) /. float_of_int (d2 - d1))
+
+(* --- The outbox: one step sending far past its initial capacity, mixed
+   [send]/[broadcast], with every message due at the same tick, must be
+   delivered exactly and in send order. --- *)
+
+let test_sim_outbox_grows_and_keeps_send_order () =
+  let n = 8 and burst = 300 in
+  let is_bcast i = i mod 7 = 0 in
+  let p : (bool, int, int) Sim.process =
+    {
+      Sim.name = "burst";
+      init = (fun _ -> false);
+      on_tick =
+        (fun ctx sent ->
+          if (not sent) && Sim.self ctx = 0 then
+            for i = 0 to burst - 1 do
+              if is_bcast i then Sim.broadcast ctx i else Sim.send ctx (i mod n) i
+            done;
+          true);
+      on_message = (fun ctx s ~src:_ m -> Sim.observe ctx m; s);
+    }
+  in
+  let config =
+    {
+      (Sim.default_config ~n ~seed:3) with
+      Sim.delay_before_gst = (1, 1);
+      delay_after_gst = (1, 1);
+      horizon = 100;
+    }
+  in
+  let r = Sim.run config p in
+  check_int "every message delivered" (burst + (n - 1) * ((burst + 6) / 7)) r.Sim.delivered;
+  let times = List.sort_uniq compare (List.map (fun (t, _, _) -> t) r.Sim.log) in
+  check_int "all due at one tick" 1 (List.length times);
+  for dst = 0 to n - 1 do
+    let got = List.filter_map (fun (_, q, m) -> if q = dst then Some m else None) r.Sim.log in
+    let want = List.filter (fun i -> is_bcast i || i mod n = dst) (List.init burst Fun.id) in
+    Alcotest.(check (list int)) (Printf.sprintf "p%d receives in send order" dst) want got
+  done
+
+(* Payloads travel untyped through the queue and the outbox; a float (and
+   a flat float record) must survive the trip bit-for-bit. *)
+type flat = { fx : float; fy : float }
+
+let test_sim_float_payloads_round_trip () =
+  let n = 3 in
+  let values = [ 0.1; -0.0; 1e300; Float.nan; 3.25; Float.infinity ] in
+  let payloads : (float, float * flat, float * flat) Sim.process =
+    {
+      Sim.name = "floats";
+      init = (fun _ -> 0.);
+      on_tick =
+        (fun ctx k ->
+          (if k = 0. then
+             List.iteri
+               (fun i v ->
+                 let m = (v, { fx = v; fy = float_of_int i }) in
+                 if i mod 2 = 0 then Sim.broadcast ctx m
+                 else Sim.send ctx ((Sim.self ctx + 1) mod n) m)
+               values);
+          k +. 1.);
+      on_message = (fun ctx k ~src:_ m -> Sim.observe ctx m; k);
+    }
+  in
+  let r = Sim.run { (Sim.default_config ~n ~seed:9) with Sim.horizon = 400 } payloads in
+  let bits = Int64.bits_of_float in
+  let sent = List.mapi (fun i v -> (i, bits v)) values in
+  List.iter
+    (fun (_, _, (v, { fx; fy })) ->
+      let i = int_of_float fy in
+      check "record field intact" true (bits fx = bits v);
+      check "value is one that was sent" true (List.assoc_opt i sent = Some (bits v)))
+    r.Sim.log;
+  check_int "every payload delivered" (n * ((3 * n) + 3)) (List.length r.Sim.log)
+
 (* --- ◇W oracle --- *)
 
 let oracle_setup ~seed ~n ~crashes ~gst ~trusted =
@@ -660,6 +768,11 @@ let suite =
         tc "spurious messages delivered" `Quick test_sim_spurious_messages_delivered;
         tc "validates config" `Quick test_sim_validates_config;
         tc "large-n ring routes every tag (n=200)" `Quick test_sim_large_n;
+        tc "engine allocates nothing per event" `Quick
+          test_sim_engine_allocates_nothing_per_event;
+        tc "outbox grows and keeps send order" `Quick
+          test_sim_outbox_grows_and_keeps_send_order;
+        tc "float payloads round-trip" `Quick test_sim_float_payloads_round_trip;
         tc "adversary drops counted and deterministic" `Quick
           test_sim_adversary_drops_are_counted_and_deterministic;
       ] );

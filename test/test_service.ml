@@ -450,6 +450,112 @@ let test_tob_audit_catches_blanked_entry () =
     check_int "one recovery" 1 (Tob.recoveries t);
     check_int "re-digested honestly" (Tob.content_digest t) (Tob.log_digest t)
 
+(* The pending FIFO against its [Queue] model. One replica takes random
+   [Fwd] batches (fresh, duplicate and already-committed ids), [Decide]s
+   of the queue's front or of random id subsets (some a slot ahead, held
+   until the gap fills) and ticks; every fresh proposal it emits — the
+   round-0 estimate of a new slot — must be the model's first
+   [batch_max] uncommitted ops. Alternating fill and drain phases push
+   the queue well past its initial 1,024 slots and then run its end into
+   the directory's end, so both growth and in-place compaction run (six
+   compactions and three doublings). Midway, a scramble that leaves
+   the log intact forces [rebuild_from_log] over the live queue. *)
+let test_tob_pending_fifo_matches_queue_model () =
+  let batch_max = 48 and steps = 6_000 in
+  let t =
+    Tob.create ~n:3 ~self:0 ~style:{ Tob.retransmit = false; recover = true } ~batch_max
+      ~id_hint:64 ()
+  in
+  let model = Pending_ref.create () in
+  let rng = Rng.create 2024 in
+  let op id = { Kv.id; kind = Kv.Put; key = id mod 97; v1 = id; v2 = 0 } in
+  let committed = Hashtbl.create 4096 in
+  let is_done id = Hashtbl.mem committed id in
+  let synced = ref 0 and recoveries = ref 0 in
+  (* Mirror the replica's committed set: incrementally, or from scratch
+     (then rebuilding the model) when it ran a recovery. *)
+  let sync () =
+    if Tob.recoveries t <> !recoveries then begin
+      recoveries := Tob.recoveries t;
+      Hashtbl.reset committed;
+      synced := 0
+    end;
+    for slot = !synced to Tob.committed t - 1 do
+      Kv.Batch.iter (fun (o : Kv.op) -> Hashtbl.replace committed o.Kv.id ()) (Tob.log_entry t slot)
+    done;
+    if !synced = 0 && Tob.recoveries t > 0 then Pending_ref.rebuild model ~is_done;
+    synced := Tob.committed t
+  in
+  let proposals = ref 0 in
+  let compare_proposals outs =
+    List.iter
+      (function
+        | Tob.Send (_, Tob.Cons { m = Mv_consensus.Est { round = 0; ts = -1; estimate }; _ })
+          ->
+          incr proposals;
+          Alcotest.(check (list int))
+            (Printf.sprintf "proposal %d" !proposals)
+            (Pending_ref.proposal model ~is_done ~batch_max)
+            (Array.to_list (Array.map (fun (o : Kv.op) -> o.Kv.id) (Kv_ref.batch_ops estimate)))
+        | _ -> ())
+      outs
+  in
+  let step outs =
+    sync ();
+    compare_proposals outs
+  in
+  let next_id = ref 0 and now = ref 0 and peak = ref 0 in
+  let random_id () =
+    match Rng.int rng 20 with
+    | 0 | 1 -> Rng.int rng (max 1 !next_id) (* anything seen, often committed *)
+    | 2 | 3 | 4 -> max 0 (!next_id - 1 - Rng.int rng 50) (* a recent duplicate *)
+    | _ ->
+      incr next_id;
+      !next_id - 1
+  in
+  let fwd () =
+    let ops = Array.init (1 + Rng.int rng 40) (fun _ -> op (random_id ())) in
+    let outs = Tob.deliver t ~now:!now ~src:(1 + Rng.int rng 2) (Tob.Fwd ops) in
+    Pending_ref.enqueue model ~is_done ops;
+    step outs
+  in
+  let decide () =
+    let front = Pending_ref.proposal model ~is_done ~batch_max:(1 + Rng.int rng 64) in
+    let ids =
+      if Rng.int rng 4 = 0 then
+        List.filter (fun _ -> Rng.bool rng) front @ List.init (Rng.int rng 6) (fun _ -> random_id ())
+      else front
+    in
+    let batch = Kv.Batch.make (Array.of_list (List.map op ids)) in
+    let slot = Tob.committed t + if Rng.int rng 8 = 0 then 1 else 0 in
+    step (Tob.deliver t ~now:!now ~src:(1 + Rng.int rng 2) (Tob.Decide { slot; batch }))
+  in
+  let tick () =
+    incr now;
+    step (Tob.tick t ~now:!now ~suspected:(fun _ -> false))
+  in
+  for i = 1 to steps do
+    let filling = i / 500 mod 2 = 0 in
+    (match Rng.int rng 20 with
+    | r when r < (if filling then 12 else 7) -> fwd ()
+    | r when r < (if filling then 14 else 16) -> decide ()
+    | _ -> tick ());
+    if i mod 50 = 0 then peak := max !peak (Pending_ref.pending model ~is_done);
+    if i = steps / 2 then begin
+      (* Seed 0's scramble moves only summary fields (the guard sees it
+         at the next call) and leaves every committed entry in place. *)
+      let len = Tob.committed t in
+      let entries = Array.init len (Tob.log_entry t) in
+      ignore (Tob.corrupt (Rng.create 0) t);
+      step (Tob.deliver t ~now:!now ~src:1 (Tob.Fwd [||]));
+      check_int "the scramble forced a recovery" 1 (Tob.recoveries t);
+      check "the log prefix survived the scramble" true
+        (Tob.committed t >= len && Array.for_all2 ( == ) entries (Array.init len (Tob.log_entry t)))
+    end
+  done;
+  check "the queue outgrew its initial 1,024 slots" true (!peak > 1_024);
+  check "many proposals compared" true (!proposals > 500)
+
 let test_service_baseline_has_no_repair () =
   let n = 5 in
   let wl = tiny_wl ~seed:8 ~ops:2_000 n in
@@ -540,6 +646,8 @@ let suite =
           test_service_batch_memos_fresh_after_storms;
         Alcotest.test_case "audit catches a blanked log entry" `Quick
           test_tob_audit_catches_blanked_entry;
+        Alcotest.test_case "pending FIFO = queue model" `Quick
+          test_tob_pending_fifo_matches_queue_model;
         Alcotest.test_case "baseline never repairs" `Quick
           test_service_baseline_has_no_repair;
         Alcotest.test_case "golden determinism" `Quick test_service_golden_determinism;

@@ -75,6 +75,60 @@ let test_rng_chance_extremes () =
   check "p=0 never" false (Rng.chance rng 0.0);
   check "p=1 always" true (Rng.chance rng 1.0)
 
+(* Known answers: the first outputs for seed 0 are the published
+   SplitMix64 test vectors; the per-seed streams below were printed by
+   the boxed-[int64] implementation this one replaced, so they pin the
+   whole derived API (int, int_in, float, bool, split, copy) to it. *)
+let test_rng_known_answers () =
+  let t = Rng.create 0 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64 seed 0" want (Rng.bits64 t))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let ints = Alcotest.(check (list int)) and bools = Alcotest.(check (list bool)) in
+  let draws k f = List.init k (fun _ -> f ()) in
+  let stream seed ~int ~int_in ~float ~bool ~split ~after ~copy ~neg =
+    let t = Rng.create seed in
+    ints "int" int (draws 8 (fun () -> Rng.int t 1000));
+    ints "int_in" int_in (draws 6 (fun () -> Rng.int_in t (-5) 5));
+    Alcotest.(check (list string))
+      "float" float
+      (draws 4 (fun () -> Printf.sprintf "%h" (Rng.float t 1.0)));
+    bools "bool" bool (draws 8 (fun () -> Rng.bool t));
+    let c = Rng.copy t in
+    let s = Rng.split t in
+    ints "split" split (draws 4 (fun () -> Rng.int s 1000));
+    ints "after split" after (draws 4 (fun () -> Rng.int t 1000));
+    ints "copy" copy (draws 4 (fun () -> Rng.int c 1000));
+    Alcotest.(check int64) "negative seed" neg (Rng.bits64 (Rng.create (-seed - 1)))
+  in
+  stream 42 ~int:[ 853; 72; 964; 941; 812; 265; 231; 977 ] ~int_in:[ 0; -3; 3; 1; 2; -2 ]
+    ~float:
+      [ "0x1.548fc63805cf1p-1"; "0x1.a0a2962a6be18p-3"; "0x1.a83d752f35eb8p-4";
+        "0x1.fb64000fd9fe6p-2" ]
+    ~bool:[ true; false; false; true; true; true; false; true ]
+    ~split:[ 496; 393; 107; 627 ] ~after:[ 247; 65; 752; 125 ] ~copy:[ 749; 247; 65; 752 ]
+    ~neg:0x03E137111AABFF83L;
+  stream 20260 ~int:[ 633; 164; 325; 851; 443; 751; 0; 318 ] ~int_in:[ 3; 2; 1; 2; -4; -3 ]
+    ~float:
+      [ "0x1.c71c9ed05f772p-2"; "0x1.f2da8eea152b1p-1"; "0x1.4b47eac7e3ab4p-1";
+        "0x1.127e77e73c0bp-1" ]
+    ~bool:[ false; false; true; false; false; false; true; false ]
+    ~split:[ 863; 590; 598; 322 ] ~after:[ 108; 915; 936; 861 ] ~copy:[ 115; 108; 915; 936 ]
+    ~neg:0x87A71147228442D8L;
+  Alcotest.(check int64) "max_int seed" 0x43DF0885536978A6L (Rng.bits64 (Rng.create max_int))
+
+(* The generator state is unboxed, so integer draws allocate nothing. *)
+let test_rng_draws_allocate_nothing () =
+  let t = Rng.create 17 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int t 1000
+  done;
+  let w1 = Gc.minor_words () in
+  check "draws ran" true (!acc > 0);
+  Alcotest.(check (float 0.)) "minor words for 10,000 Rng.int draws" 0. (w1 -. w0)
+
 let test_stats_basics () =
   let open Stats in
   Alcotest.(check (float 1e-9)) "mean" 2.0 (mean [ 1.0; 2.0; 3.0 ]);
@@ -304,6 +358,8 @@ let suite =
         tc "rng sample" `Quick test_rng_sample;
         tc "rng shuffle" `Quick test_rng_shuffle_permutes;
         tc "rng chance extremes" `Quick test_rng_chance_extremes;
+        tc "rng known answers" `Quick test_rng_known_answers;
+        tc "rng draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         tc "stats basics" `Quick test_stats_basics;
         tc "stats histogram" `Quick test_stats_histogram;
         tc "table renders" `Quick test_table_renders;
