@@ -64,10 +64,8 @@ let async_consensus_run ~n =
            (Sim.run config
               (Consensus.process ~n ~style:Consensus.self_stabilizing ~propose ~oracle ()))))
 
-(* Repeated consensus: the same k instances driven through one shared
-   simulator heap vs. a heap rebuilt per instance. The difference between
-   the two rows is the per-instance price of rebuilding (config, channels,
-   event queue, detector oracle) that the service tower avoids. *)
+(* Repeated consensus: k instances driven through one shared simulator
+   heap. *)
 let repeated_propose p i = 100 + (((p * 13) + (i * 7)) mod 50)
 
 let repeated_shared_heap ~n ~instances =
@@ -76,27 +74,6 @@ let repeated_shared_heap ~n ~instances =
     (Staged.stage (fun () ->
          ignore
            (Repeated.run_async_shared ~n ~seed:3
-              ~style:Ftss_async.Consensus.self_stabilizing
-              ~propose:repeated_propose ~instances ~horizon_per_instance:150 ())))
-
-let repeated_rebuilt_heap ~n ~instances =
-  Test.make
-    ~name:(Printf.sprintf "repeated rebuilt-heap x%d (n=%d)" instances n)
-    (Staged.stage (fun () ->
-         ignore
-           (Repeated.run_async_rebuilt ~n ~seed:3
-              ~style:Ftss_async.Consensus.self_stabilizing
-              ~propose:repeated_propose ~instances ~horizon_per_instance:150 ())))
-
-(* The rebuilt driver again, but clearing and reusing one queue arena
-   across instances: the gap to the rebuilt row is the queue's share of
-   the rebuild price. *)
-let repeated_pooled_queue ~n ~instances =
-  Test.make
-    ~name:(Printf.sprintf "repeated pooled-queue x%d (n=%d)" instances n)
-    (Staged.stage (fun () ->
-         ignore
-           (Repeated.run_async_pooled ~n ~seed:3
               ~style:Ftss_async.Consensus.self_stabilizing
               ~propose:repeated_propose ~instances ~horizon_per_instance:150 ())))
 
@@ -193,8 +170,6 @@ let tests =
       esfd_tick ~n:9;
       async_consensus_run ~n:5;
       repeated_shared_heap ~n:4 ~instances:8;
-      repeated_rebuilt_heap ~n:4 ~instances:8;
-      repeated_pooled_queue ~n:4 ~instances:8;
       queue_cycle_calendar;
       queue_cycle_heap;
       pidset_ops ~n:61;

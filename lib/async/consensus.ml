@@ -14,34 +14,24 @@ type tag = { instance : int; round : int }
 let tag_gt a b =
   a.instance > b.instance || (a.instance = b.instance && a.round > b.round)
 
-type cmsg =
-  | Est of { tag : tag; estimate : value; ts : int }
-  | Propose of { tag : tag; value : value }
-  | Ack of { tag : tag }
-  | Nack of { tag : tag }
+(* One instance's rounds run in {!Mv_consensus}; this module repeats it.
+   [Cons] carries an engine message of one instance; [Decide] and the
+   [Round] heartbeat are the driver's own. *)
+type msg =
+  | Fd of Esfd.msg
+  | Hb of Heartbeat.msg
+  | Cons of { instance : int; m : value Mv_consensus.msg }
   | Decide of { instance : int; value : value }
-  | Round of { tag : tag }
-
-type msg = Fd of Esfd.msg | Hb of Heartbeat.msg | Cons of cmsg
-
-type coord_record = {
-  co_round : int;
-  co_ests : (value * int) Pidmap.t;
-  co_proposal : value option;
-  co_acks : Pidset.t;
-}
+  | Round of tag
 
 type state = {
   fd : Esfd.t;
   hb : Heartbeat.t option;
       (* present when the ◇W layer is the heartbeat implementation *)
   instance : int;
-  round : int;
-  estimate : value;
-  ts : int; (* round in which [estimate] was last adopted; -1 = fresh *)
-  coord : coord_record option; (* bookkeeping for the round we coordinate *)
+  engine : value Mv_consensus.t; (* the rounds of [instance] *)
   prev_decision : (int * value) option;
-  pending : (Pid.t * cmsg) list;
+  pending : (Pid.t * tag * msg) list;
       (* future-tagged messages buffered for replay (classic CT91); only
          populated when the style does not run round agreement *)
 }
@@ -50,35 +40,36 @@ type observation =
   | Decided of { instance : int; value : value }
   | Joined of tag
 
-let forged_round tag = Cons (Round { tag })
-let forged_decide ~instance ~value = Cons (Decide { instance; value })
+let forged_round tag = Round tag
+let forged_decide ~instance ~value = Decide { instance; value }
 
 type detector_source =
   | Oracle of Ewfd.t
   | Heartbeats of { initial_timeout : int; backoff : int }
 
-let coord_of ~n round = ((round mod n) + n) mod n
-let majority n = (n / 2) + 1
-let current_tag st = { instance = st.instance; round = st.round }
+let current_tag st = { instance = st.instance; round = Mv_consensus.round st.engine }
 
-let fresh_record round =
-  { co_round = round; co_ests = Pidmap.empty; co_proposal = None; co_acks = Pidset.empty }
+(* [tag_gt { instance; round } (current_tag st)], without building either tag. *)
+let newer st ~instance ~round =
+  instance > st.instance || (instance = st.instance && round > Mv_consensus.round st.engine)
 
-let tag_of_cmsg = function
-  | Est { tag; _ } | Propose { tag; _ } | Ack { tag } | Nack { tag } | Round { tag } ->
-    Some tag
-  | Decide _ -> None
+(* Every instance rotates its coordinator from pid 0, and the newest
+   timestamp alone picks the proposal (ties to the lowest pid). *)
+let no_weight _ = 0
+
+let fresh_engine ctx ~n ~round ~proposal =
+  Mv_consensus.create ~n ~self:(Sim.self ctx) ~base:0 ~weight:no_weight ~round ~proposal
+
+let rec send_outs ctx ~instance = function
+  | [] -> ()
+  | Mv_consensus.To (d, m) :: outs ->
+    Sim.send ctx d (Cons { instance; m });
+    send_outs ctx ~instance outs
+  | Mv_consensus.All m :: outs ->
+    Sim.broadcast ctx (Cons { instance; m });
+    send_outs ctx ~instance outs
 
 let pending_cap = 256
-
-(* Entering a round: send the phase-1 estimate to the coordinator; start a
-   coordination record when we are that coordinator. *)
-let enter ctx ~n st ~round =
-  let c = coord_of ~n round in
-  let st = { st with round } in
-  Sim.send ctx c (Cons (Est { tag = current_tag st; estimate = st.estimate; ts = st.ts }));
-  let coord = if Pid.equal c (Sim.self ctx) then Some (fresh_record round) else st.coord in
-  { st with coord }
 
 let emit_decide obs ctx ~instance ~value =
   match obs with
@@ -98,147 +89,90 @@ let emit_suspect_diff obs ctx ~before ~after =
 (* Round agreement: abandon current work and join a newer (instance, round). *)
 let jump ctx ~n ~propose st target =
   Sim.observe ctx (Joined target);
-  let st =
-    if target.instance > st.instance then
-      {
-        st with
-        instance = target.instance;
-        estimate = propose (Sim.self ctx) target.instance;
-        ts = -1;
-        coord = None;
-      }
-    else st
-  in
-  enter ctx ~n st ~round:target.round
+  if target.instance > st.instance then begin
+    let proposal = propose (Sim.self ctx) target.instance in
+    let engine, outs = fresh_engine ctx ~n ~round:target.round ~proposal in
+    send_outs ctx ~instance:target.instance outs;
+    { st with instance = target.instance; engine }
+  end
+  else begin
+    let engine, outs = Mv_consensus.jump st.engine ~round:target.round in
+    send_outs ctx ~instance:st.instance outs;
+    { st with engine }
+  end
 
 (* Learn the decision of [instance] (>= ours) and start the next one. *)
 let learn_decision ?obs ctx ~n ~propose st ~instance ~value =
   Sim.observe ctx (Decided { instance; value });
   emit_decide obs ctx ~instance ~value;
   let next = instance + 1 in
-  let st =
-    {
-      st with
-      instance = next;
-      estimate = propose (Sim.self ctx) next;
-      ts = -1;
-      coord = None;
-      prev_decision = Some (instance, value);
-    }
-  in
-  enter ctx ~n st ~round:0
+  let engine, outs = fresh_engine ctx ~n ~round:0 ~proposal:(propose (Sim.self ctx) next) in
+  send_outs ctx ~instance:next outs;
+  { st with instance = next; engine; prev_decision = Some (instance, value) }
 
 let process_with ?obs ~n ~style ~propose ~detector () =
-  let maybe_propose ctx st co =
-    (* Phase 2: with a majority of estimates and no proposal yet, propose
-       the estimate with the newest timestamp (ties broken by lowest pid,
-       deterministically). *)
-    match co.co_proposal with
-    | Some _ -> co
-    | None ->
-      if Pidmap.cardinal co.co_ests < majority n then co
-      else begin
-        (* Single ascending traversal; strict [>] keeps the winner the
-           lowest-pid estimate among the newest timestamps, exactly the
-           tie-break the two-pass (min_binding + fold) version computed. *)
-        let best =
-          Pidmap.fold
-            (fun _ (est, ts) best ->
-              match best with
-              | Some (_, best_ts) when ts <= best_ts -> best
-              | Some _ | None -> Some (est, ts))
-            co.co_ests None
-        in
-        let best = match best with Some (est, _) -> est | None -> assert false in
-        Sim.broadcast ctx
-          (Cons (Propose { tag = { instance = st.instance; round = co.co_round }; value = best }));
-        { co with co_proposal = Some best }
-      end
-  in
-  let maybe_decide ctx st co =
-    (* Phase 4: a majority of acks lets the coordinator broadcast the
-       decision (receivers are idempotent, so repeats are harmless). *)
-    match co.co_proposal with
-    | Some v when Pidset.cardinal co.co_acks >= majority n ->
-      Sim.broadcast ctx (Cons (Decide { instance = st.instance; value = v }))
-    | Some _ | None -> ()
-  in
-  (* Handle one consensus message whose tag is current (or untagged). *)
-  let rec handle ctx st ~src cm =
-    match cm with
+  (* Run one engine step's output; a step that moved the engine to a new
+     round replays what was buffered for it. *)
+  let rec step ctx st (engine, outs, verdict) =
+    send_outs ctx ~instance:st.instance outs;
+    (match verdict with
+    | Mv_consensus.Decided value -> Sim.broadcast ctx (Decide { instance = st.instance; value })
+    | Mv_consensus.Continue -> ());
+    if engine == st.engine then st
+    else begin
+      let entered = Mv_consensus.round engine <> Mv_consensus.round st.engine in
+      let st = { st with engine } in
+      if entered then drain ctx st else st
+    end
+  (* Handle one consensus message. *)
+  and handle ctx st ~src m =
+    match m with
     | Decide { instance; value } ->
       if instance >= st.instance then
         drain ctx (learn_decision ?obs ctx ~n ~propose st ~instance ~value)
       else st
-    | Est _ | Propose _ | Ack _ | Nack _ | Round _ ->
-      let t = Option.get (tag_of_cmsg cm) in
-      let st =
-        if tag_gt t (current_tag st) then
-          if style.round_agreement then jump ctx ~n ~propose st t
-          else
-            (* Classic CT: buffer for replay when we reach that round. *)
-            { st with pending = (src, cm) :: List.filteri (fun i _ -> i < pending_cap - 1) st.pending }
-        else st
-      in
-      if tag_gt t (current_tag st) then st (* buffered: nothing else to do *)
-      else if t.instance <> st.instance then st
-      else begin
-        match cm with
-        | Round _ | Nack _ -> st
-        | Est { tag; estimate; ts } ->
-          (* A coordinator whose record was lost to a systemic failure (or
-             that is being addressed by retransmissions) reconstructs it. *)
-          let st =
-            if
-              Pid.equal (coord_of ~n tag.round) (Sim.self ctx)
-              && tag.round = st.round && st.coord = None
-            then { st with coord = Some (fresh_record tag.round) }
-            else st
-          in
-          (match st.coord with
-          | Some co when co.co_round = tag.round ->
-            let co = { co with co_ests = Pidmap.add src (estimate, ts) co.co_ests } in
-            let co = maybe_propose ctx st co in
-            { st with coord = Some co }
-          | Some _ | None -> st)
-        | Propose { tag; value } ->
-          if tag.round = st.round then begin
-            (* Phase 3 (ack): adopt the proposal, reply, move to the next
-               round. *)
-            Sim.send ctx (coord_of ~n tag.round) (Cons (Ack { tag }));
-            let st = { st with estimate = value; ts = tag.round } in
-            drain ctx (enter ctx ~n st ~round:(st.round + 1))
-          end
-          else st
-        | Ack { tag } ->
-          (match st.coord with
-          | Some co when co.co_round = tag.round ->
-            let co = { co with co_acks = Pidset.add src co.co_acks } in
-            maybe_decide ctx st co;
-            { st with coord = Some co }
-          | Some _ | None -> st)
-        | Decide _ -> assert false
-      end
+    | Cons { instance; m = cm } ->
+      tagged ctx st ~src m ~instance ~round:(Mv_consensus.round_of_msg cm)
+    | Round { instance; round } -> tagged ctx st ~src m ~instance ~round
+    | Fd _ | Hb _ -> st
+  and tagged ctx st ~src m ~instance ~round =
+    if newer st ~instance ~round then
+      if style.round_agreement then
+        current ctx (jump ctx ~n ~propose st { instance; round }) ~src m ~instance ~round
+      else
+        (* Classic CT: buffer for replay when we reach that round. *)
+        {
+          st with
+          pending =
+            (src, { instance; round }, m)
+            :: List.filteri (fun i _ -> i < pending_cap - 1) st.pending;
+        }
+    else current ctx st ~src m ~instance ~round
+  (* A message of the current instance and a current or older round. *)
+  and current ctx st ~src m ~instance ~round =
+    if instance <> st.instance then st
+    else
+      match m with
+      | Cons { m = Mv_consensus.Est _; _ }
+        when round < Mv_consensus.round st.engine
+             && not (Mv_consensus.holds_record st.engine round) ->
+        (* A stale estimate counts only toward a record still held for
+           its round: a coordinator that has moved on does not rebuild
+           the record of a round it left. *)
+        st
+      | Cons { m = cm; _ } -> step ctx st (Mv_consensus.receive st.engine ~src cm)
+      | Round _ | Decide _ | Fd _ | Hb _ -> st
   (* Replay buffered messages that have become current; drop stale ones.
      Progress is guaranteed: each iteration removes one message. *)
   and drain ctx st =
     if style.round_agreement then st
     else begin
       let cur = current_tag st in
-      let live =
-        List.filter
-          (fun (_, m) ->
-            match tag_of_cmsg m with
-            | Some t -> not (tag_gt cur t)
-            | None -> false)
-          st.pending
-      in
-      let matching, future =
-        List.partition (fun (_, m) -> tag_of_cmsg m = Some cur) live
-      in
+      let live = List.filter (fun (_, t, _) -> not (tag_gt cur t)) st.pending in
+      let matching, future = List.partition (fun (_, t, _) -> t = cur) live in
       match matching with
       | [] -> { st with pending = future }
-      | (src, m) :: rest ->
+      | (src, _, m) :: rest ->
         let st = { st with pending = rest @ future } in
         drain ctx (handle ctx st ~src m)
     end
@@ -263,45 +197,20 @@ let process_with ?obs ~n ~style ~propose ~detector () =
     if traced then emit_suspect_diff obs ctx ~before:fd_before ~after:(Esfd.suspects fd);
     Sim.broadcast ctx (Fd fd_msg);
     let st = { st with fd } in
-    (* Phase 3 (nack): give up on a suspected coordinator. *)
-    let c = coord_of ~n st.round in
+    (* Phase 3 (nack): give up on a suspected coordinator, and replay
+       what was buffered for the next round before retransmitting. *)
     let st =
-      if (not (Pid.equal c self)) && Esfd.suspected st.fd c then begin
-        Sim.send ctx c (Cons (Nack { tag = current_tag st }));
-        drain ctx (enter ctx ~n st ~round:(st.round + 1))
-      end
-      else st
+      step ctx st
+        (Mv_consensus.tick st.engine ~suspected:(Esfd.suspected fd) ~retransmit:false)
     in
-    let st =
-      if not style.retransmit then st
-      else begin
-        (* Re-send every message of the unfinished phase and reconstruct
-           lost coordinator state. *)
-        let st =
-          if Pid.equal (coord_of ~n st.round) self && st.coord = None then
-            { st with coord = Some (fresh_record st.round) }
-          else st
-        in
-        Sim.send ctx (coord_of ~n st.round)
-          (Cons (Est { tag = current_tag st; estimate = st.estimate; ts = st.ts }));
-        (match st.coord with
-        | Some co ->
-          (match co.co_proposal with
-          | Some v ->
-            Sim.broadcast ctx
-              (Cons (Propose { tag = { instance = st.instance; round = co.co_round }; value = v }))
-          | None -> ());
-          maybe_decide ctx st co
-        | None -> ());
-        (match st.prev_decision with
-        | Some (i, v) -> Sim.broadcast ctx (Cons (Decide { instance = i; value = v }))
-        | None -> ());
-        st
-      end
-    in
+    let st = if style.retransmit then step ctx st (Mv_consensus.retransmit st.engine) else st in
+    (* Decision re-dissemination, with the retransmissions. *)
+    (if style.retransmit then
+       match st.prev_decision with
+       | Some (i, v) -> Sim.broadcast ctx (Decide { instance = i; value = v })
+       | None -> ());
     (* The round agreement heartbeat (the Figure 1 broadcast). *)
-    if style.round_agreement then
-      Sim.broadcast ctx (Cons (Round { tag = current_tag st }));
+    if style.round_agreement then Sim.broadcast ctx (Round (current_tag st));
     st
   in
   {
@@ -313,6 +222,12 @@ let process_with ?obs ~n ~style ~propose ~detector () =
       | false, true -> "ct-consensus+round-agreement");
     init =
       (fun p ->
+        (* Mid-round 0 with nothing sent yet, and no coordination record
+           until the first estimate reaches the coordinator. *)
+        let proposal = propose p 0 in
+        let engine, _ =
+          Mv_consensus.create ~n ~self:p ~base:0 ~weight:no_weight ~round:0 ~proposal
+        in
         {
           fd = Esfd.create ~n;
           hb =
@@ -321,10 +236,7 @@ let process_with ?obs ~n ~style ~propose ~detector () =
             | Heartbeats { initial_timeout; backoff } ->
               Some (Heartbeat.create ~n ~initial_timeout ~backoff));
           instance = 0;
-          round = 0;
-          estimate = propose p 0;
-          ts = -1;
-          coord = None;
+          engine = Mv_consensus.scrambled engine ~round:0 ~estimate:proposal ~ts:(-1);
           prev_decision = None;
           pending = [];
         });
@@ -341,7 +253,7 @@ let process_with ?obs ~n ~style ~propose ~detector () =
           (match st.hb with
           | Some hb -> { st with hb = Some (Heartbeat.heard hb ~src ~now:(Sim.now ctx)) }
           | None -> st)
-        | Cons cm -> handle ctx st ~src cm);
+        | Cons _ | Decide _ | Round _ -> handle ctx st ~src m);
     on_tick;
   }
 
@@ -349,24 +261,37 @@ let process ?obs ~n ~style ~propose ~oracle () =
   process_with ?obs ~n ~style ~propose ~detector:(Oracle oracle) ()
 
 let corrupt_random rng ~n:_ ~instance_bound ~round_bound ~value_bound _pid st =
+  (* Drawn in this order: previous decision, timestamp, estimate, round,
+     instance, heartbeat layer, detector arrays. *)
+  let prev_decision =
+    if Rng.chance rng 0.3 then Some (Rng.int rng instance_bound, Rng.int rng value_bound)
+    else None
+  in
+  let ts = if Rng.chance rng 0.3 then Rng.int rng 1_000_000 else -1 in
+  let estimate = Rng.int rng value_bound in
+  let round = Rng.int rng round_bound in
+  let instance = Rng.int rng instance_bound in
+  let hb =
+    Option.map (fun hb -> Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:150 hb) st.hb
+  in
   {
     fd = Esfd.corrupt rng ~num_bound:1000 st.fd;
-    hb =
-      Option.map
-        (fun hb -> Heartbeat.corrupt rng ~time_bound:10_000 ~timeout_bound:150 hb)
-        st.hb;
-    instance = Rng.int rng instance_bound;
-    round = Rng.int rng round_bound;
-    estimate = Rng.int rng value_bound;
-    ts = (if Rng.chance rng 0.3 then Rng.int rng 1_000_000 else -1);
-    coord = None;
-    prev_decision =
-      (if Rng.chance rng 0.3 then Some (Rng.int rng instance_bound, Rng.int rng value_bound)
-       else None);
+    hb;
+    instance;
+    engine = Mv_consensus.scrambled st.engine ~round ~estimate ~ts;
+    prev_decision;
     pending = [];
   }
 
-let corrupt_parked ~round _pid st = { st with instance = 0; round; coord = None; pending = [] }
+let corrupt_parked ~round _pid st =
+  let e = st.engine in
+  {
+    st with
+    instance = 0;
+    engine =
+      Mv_consensus.scrambled e ~round ~estimate:(Mv_consensus.estimate e) ~ts:(Mv_consensus.ts e);
+    pending = [];
+  }
 
 type decision = { d_time : int; d_pid : Pid.t; d_instance : int; d_value : value }
 

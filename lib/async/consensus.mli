@@ -30,6 +30,15 @@
     every correct process eventually completes every post-stabilization
     instance.
 
+    Each instance's rounds run in the per-instance engine
+    {!Mv_consensus}, the same engine the service tower runs once per log
+    slot. This module is the repeated-instance driver around it:
+    instance numbering, decision dissemination, ROUND heartbeats, the
+    classic buffer of future-tagged messages, the detector stack,
+    corruption and reports. It also drops an estimate for a round older
+    than the current one unless the engine still holds that round's
+    coordination record, where the engine alone would rebuild one.
+
     Crash failures require a correct majority: f < n/2. *)
 
 open Ftss_util

@@ -115,8 +115,7 @@ type ('s, 'o) result = {
     [pool], when given, supplies a reusable event-queue arena: the run
     clears and reuses its buckets and node slots instead of allocating a
     fresh queue, so a driver executing many simulations back to back
-    (the repeated-consensus benchmarks, the service tower) pays the
-    queue's allocation once. A pool must not be shared between
+    pays the queue's allocation once. A pool must not be shared between
     concurrently running simulations. *)
 
 (** A reusable event-queue arena for {!run}'s [?pool] argument. *)

@@ -1,5 +1,8 @@
 module Prof = Ftss_profile.Profile
 
+(* Seconds on the monotonic clock since [t0] (a [Prof.now_ns] reading). *)
+let seconds_since t0 = float_of_int (Prof.now_ns () - t0) *. 1e-9
+
 type result = { fingerprint : string; ok : bool; detail : string; states : int }
 
 type domain_stat = { d_cases : int; d_states : int; d_busy : float }
@@ -133,7 +136,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
       if first < len then begin
         let limit = min len (first + chunk) in
         (* The clock is read once per chunk, not once per case. *)
-        let t0 = Unix.gettimeofday () in
+        let t0 = Prof.now_ns () in
         (match lane with
         | Some l -> Prof.enter l Prof.Phase.chunk_execute
         | None -> ());
@@ -141,14 +144,14 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
           case i
         done;
         (match lane with Some l -> ignore (Prof.leave l) | None -> ());
-        my_busy := !my_busy +. (Unix.gettimeofday () -. t0);
+        my_busy := !my_busy +. seconds_since t0;
         claim ()
       end
     in
     claim ();
     { d_cases = !my_cases; d_states = !my_states; d_busy = !my_busy }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Prof.now_ns () in
   let per_domain =
     if domains = 1 then [| worker 0 () |]
     else begin
@@ -159,7 +162,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
       Array.append [| mine |] (Array.map Domain.join spawned)
     end
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = seconds_since t0 in
   let merge_lane = Option.map (fun t -> Prof.lane t "explore.main") profile in
   (match merge_lane with
   | Some l -> Prof.enter l Prof.Phase.chunk_merge

@@ -175,7 +175,8 @@ let run ?obs ?profile (config : config) (prop : P.t) =
           end)
         results
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Prof.now_ns () in
+    let seconds_since t = float_of_int (Prof.now_ns () - t) *. 1e-9 in
     (* Phase A: the exhaustive catalogue, injected, plus the persisted
        corpus — evaluated up front so the seed phase alone rediscovers
        the exhaustive violation set (the differential oracle). *)
@@ -204,7 +205,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
       match config.budget with
       | Cases limit -> limit - !execs
       | Seconds s ->
-        if Unix.gettimeofday () -. t0 < s then batch_size else 0
+        if seconds_since t0 < s then batch_size else 0
     in
     let mutants parents k =
       Array.init k (fun _ ->
@@ -229,7 +230,7 @@ let run ?obs ?profile (config : config) (prop : P.t) =
       end
     in
     loop ();
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = seconds_since t0 in
     let violations =
       pspan Prof.Phase.fuzz_verify (fun () ->
           List.rev_map

@@ -86,7 +86,7 @@ let count_agreeing_iterations trace ~faulty ~valid =
   in
   (List.length grouped, agreeing)
 
-(* --- Repeated asynchronous consensus: one heap vs. a heap per instance --- *)
+(* --- Repeated asynchronous consensus in one simulator heap --- *)
 
 module Consensus = Ftss_async.Consensus
 module Sim = Ftss_async.Sim
@@ -131,53 +131,3 @@ let run_async_shared ?obs ~n ~seed ~style ~propose ~instances
     decisions = List.length ds;
     end_time = result.Sim.end_time;
   }
-
-let run_async_rebuilt ?obs ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance () =
-  let decided = ref 0 and total = ref 0 and end_time = ref 0 in
-  for i = 0 to instances - 1 do
-    let config =
-      async_config ~n ~seed:(seed + (2 * i)) ~horizon:(50 + horizon_per_instance)
-    in
-    let oracle =
-      async_oracle ~n ~seed:(seed + (2 * i) + 1) ~gst:config.Sim.gst
-    in
-    (* Each rebuilt heap hosts logical instance [i]: shift the proposal
-       function so both drivers consume the same proposal stream. *)
-    let propose p j = propose p (i + j) in
-    let result =
-      Sim.run ?obs config (Consensus.process ?obs ~n ~style ~propose ~oracle ())
-    in
-    let ds = Consensus.decisions result in
-    if List.exists (fun d -> d.Consensus.d_instance = 0) ds then incr decided;
-    total := !total + List.length ds;
-    end_time := max !end_time result.Sim.end_time
-  done;
-  { instances_decided = !decided; decisions = !total; end_time = !end_time }
-
-let run_async_pooled ?obs ~n ~seed ~style ~propose ~instances
-    ~horizon_per_instance () =
-  (* Identical schedule to [run_async_rebuilt] — config, oracle and rng
-     seeds are reproduced per instance — but the event-queue arena is
-     cleared and reused instead of reallocated, isolating the queue's
-     share of the rebuild price in the M1 rows. *)
-  let pool = Sim.pool () in
-  let decided = ref 0 and total = ref 0 and end_time = ref 0 in
-  for i = 0 to instances - 1 do
-    let config =
-      async_config ~n ~seed:(seed + (2 * i)) ~horizon:(50 + horizon_per_instance)
-    in
-    let oracle =
-      async_oracle ~n ~seed:(seed + (2 * i) + 1) ~gst:config.Sim.gst
-    in
-    let propose p j = propose p (i + j) in
-    let result =
-      Sim.run ?obs ~pool config
-        (Consensus.process ?obs ~n ~style ~propose ~oracle ())
-    in
-    let ds = Consensus.decisions result in
-    if List.exists (fun d -> d.Consensus.d_instance = 0) ds then incr decided;
-    total := !total + List.length ds;
-    end_time := max !end_time result.Sim.end_time
-  done;
-  { instances_decided = !decided; decisions = !total; end_time = !end_time }

@@ -63,16 +63,12 @@ val count_agreeing_iterations :
   valid:('d -> bool) ->
   int * int
 
-(** {2 Repeated asynchronous consensus drivers}
+(** {2 Repeated asynchronous consensus driver}
 
-    The async §3 protocol already repeats internally (instance 0, 1, 2,
-    ... inside one {!Ftss_async.Sim} heap); the service tower builds on
-    that. These two drivers make the heap-reuse question measurable: run
-    [instances] consecutive consensus instances either in {e one} shared
-    simulator heap, or by {e rebuilding} a fresh heap (config, channels,
-    event queue, detector oracle) per instance. The M1 microbench prices
-    both, so the per-instance overhead of rebuilding is a documented
-    number rather than folklore. *)
+    The async §3 protocol repeats internally (instance 0, 1, 2, ...
+    inside one {!Ftss_async.Sim} heap); this driver runs [instances]
+    consecutive instances that way and summarizes them. The M1
+    microbench prices it per 8 instances. *)
 
 type async_outcome = {
   instances_decided : int;  (** instances with at least one decision *)
@@ -86,36 +82,6 @@ type async_outcome = {
     and counts how many of the first [instances] instances decided.
     [propose p i] is process [p]'s proposal for instance [i]. *)
 val run_async_shared :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  seed:int ->
-  style:Ftss_async.Consensus.style ->
-  propose:(Pid.t -> int -> int) ->
-  instances:int ->
-  horizon_per_instance:int ->
-  unit ->
-  async_outcome
-
-(** [run_async_rebuilt] consumes the same proposal stream, but tears the
-    whole simulation down and rebuilds it for every instance — the
-    configuration both drivers are compared against in M1. *)
-val run_async_rebuilt :
-  ?obs:Ftss_obs.Obs.t ->
-  n:int ->
-  seed:int ->
-  style:Ftss_async.Consensus.style ->
-  propose:(Pid.t -> int -> int) ->
-  instances:int ->
-  horizon_per_instance:int ->
-  unit ->
-  async_outcome
-
-(** [run_async_pooled] is [run_async_rebuilt] with one difference: all
-    instances share a single {!Ftss_async.Sim.pool}, so the event-queue
-    arena is cleared and reused rather than reallocated per instance.
-    Outcomes are identical to [run_async_rebuilt]; only the allocation
-    profile differs — the M1 row pair prices exactly the queue rebuild. *)
-val run_async_pooled :
   ?obs:Ftss_obs.Obs.t ->
   n:int ->
   seed:int ->

@@ -1,4 +1,5 @@
 open Ftss_util
+module Mv_consensus = Ftss_async.Mv_consensus
 
 (* Self-stabilizing total-order broadcast: one {!Mv_consensus} instance
    per log slot, plus the machinery that makes the log itself
@@ -375,7 +376,7 @@ let enter_engine t =
   let proposal = make_batch t in
   let eng, outs =
     Mv_consensus.create ~n:t.n ~self:t.self ~base:t.committed ~weight:Kv.Batch.length
-      ~proposal
+      ~round:0 ~proposal
   in
   t.engine <- Some eng;
   map_outs t.committed outs
@@ -783,6 +784,16 @@ let tick t ~now ~suspected =
 
 (* --- the storm scrambler --- *)
 
+(* Arbitrary round and timestamp below [round_bound] (the timestamp is
+   drawn first), coordinator bookkeeping lost. The estimate payload is kept
+   (the adversary relocates references, it does not fabricate well-typed
+   batches): a scrambled [ts] is already enough to make a stale estimate
+   look locked and force a pre-stabilization disagreement. *)
+let scramble_engine rng ~round_bound e =
+  let ts = if Rng.chance rng 0.5 then Rng.int rng round_bound else -1 in
+  let round = Rng.int rng round_bound in
+  Mv_consensus.scrambled e ~round ~estimate:(Mv_consensus.estimate e) ~ts
+
 let corrupt rng t =
   let cap = Array.length t.log in
   let actions = 1 + Rng.int rng 3 in
@@ -792,7 +803,7 @@ let corrupt rng t =
     | 1 -> t.pdig.(Rng.int rng (min (Array.length t.pdig) (t.committed + 1))) <- Rng.int rng max_int
     | 2 -> Kv.corrupt rng ~keys:65536 t.kv
     | 3 -> t.applied <- Rng.int rng (max 1 (t.committed + 1))
-    | 4 -> t.engine <- Option.map (Mv_consensus.corrupt rng ~round_bound:64) t.engine
+    | 4 -> t.engine <- Option.map (scramble_engine rng ~round_bound:64) t.engine
     | _ -> if t.committed > 0 then t.log.(Rng.int rng t.committed) <- Kv.Batch.make [||]
   done;
   (* The guard is deliberately left stale: a transient fault does not

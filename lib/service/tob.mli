@@ -1,5 +1,5 @@
 (** Self-stabilizing total-order broadcast (the middle of the service
-    tower): a replicated log built from one {!Mv_consensus} instance per
+    tower): a replicated log built from one {!Ftss_async.Mv_consensus} instance per
     slot, with the redundancy and repair machinery that lets a replica
     recover a consistent log and state-machine suffix after arbitrary
     transient corruption.
@@ -45,7 +45,7 @@ val baseline : style
 type batch = Kv.Batch.t
 
 type msg =
-  | Cons of { slot : int; m : batch Mv_consensus.msg }
+  | Cons of { slot : int; m : batch Ftss_async.Mv_consensus.msg }
       (** consensus traffic for one slot *)
   | Decide of { slot : int; batch : batch }  (** decision dissemination *)
   | Fwd of Kv.op array  (** client-op forwarding to all replicas *)
