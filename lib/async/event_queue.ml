@@ -3,7 +3,12 @@
    Layout: nodes live in parallel flat arrays (time / tag / next /
    payload); free nodes are chained through [next], so steady-state
    push/pop recycles slots and allocates nothing on the OCaml heap. The
-   current epoch is a window of [nbuckets] consecutive time units
+   payload array is typed: it is built from the first payload pushed,
+   and that payload stays on as the filler every released slot is reset
+   to, so the queue never keeps a popped event alive. Events pushed
+   with [push_tag] carry no payload and leave their slot at the filler.
+
+   The current epoch is a window of [nbuckets] consecutive time units
    starting at [epoch] (aligned to the bucket count, a power of two): an
    event at time [u] with [epoch <= u < epoch + nbuckets] sits in the
    FIFO list of bucket [u land mask]. Bucket width is one time unit, so
@@ -27,7 +32,9 @@ type 'e t = {
   mutable ntime : int array;
   mutable ntag : int array;
   mutable nnext : int array;
-  mutable npayload : Obj.t array;
+  mutable npayload : 'e array; (* [||] until the first payload push *)
+  mutable regs : 'e array;
+      (* [| filler; last popped payload |], built with [npayload] *)
   mutable free : int;
   (* window buckets: FIFO lists, one time unit per bucket *)
   mutable bhead : int array;
@@ -40,15 +47,10 @@ type 'e t = {
   mutable ohead : int;
   mutable otail : int;
   mutable size : int;
-  (* outputs of the last successful [pop_step] *)
+  (* outputs of the last successful [pop_step]; its payload is regs.(1) *)
   mutable o_time : int;
   mutable o_tag : int;
-  mutable o_payload : Obj.t;
 }
-
-(* An immediate, so payload arrays are never flat float arrays and
-   [Obj.repr]-boxed elements of any type can be stored in them. *)
-let dummy = Obj.repr 0
 
 let rec pow2 k n = if k >= n then k else pow2 (2 * k) n
 
@@ -59,7 +61,8 @@ let create ?(initial_capacity = 256) () =
     ntime = Array.make cap 0;
     ntag = Array.make cap 0;
     nnext = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1);
-    npayload = Array.make cap dummy;
+    npayload = [||];
+    regs = [||];
     free = 0;
     bhead = Array.make nb (-1);
     btail = Array.make nb (-1);
@@ -72,47 +75,35 @@ let create ?(initial_capacity = 256) () =
     size = 0;
     o_time = 0;
     o_tag = 0;
-    o_payload = dummy;
   }
 
 let is_empty t = t.size = 0
 let size t = t.size
-
-let clear t =
-  let cap = Array.length t.ntime in
-  for i = 0 to cap - 1 do
-    t.nnext.(i) <- (if i = cap - 1 then -1 else i + 1);
-    t.npayload.(i) <- dummy
-  done;
-  t.free <- 0;
-  Array.fill t.bhead 0 (Array.length t.bhead) (-1);
-  Array.fill t.btail 0 (Array.length t.btail) (-1);
-  t.epoch <- 0;
-  t.cur <- 0;
-  t.win <- 0;
-  t.ohead <- -1;
-  t.otail <- -1;
-  t.size <- 0;
-  t.o_payload <- dummy
 
 let grow_arena t =
   let cap = Array.length t.ntime in
   let cap' = 2 * cap in
   let ntime = Array.make cap' 0
   and ntag = Array.make cap' 0
-  and nnext = Array.make cap' (-1)
-  and npayload = Array.make cap' dummy in
+  and nnext = Array.make cap' (-1) in
   Array.blit t.ntime 0 ntime 0 cap;
   Array.blit t.ntag 0 ntag 0 cap;
   Array.blit t.nnext 0 nnext 0 cap;
-  Array.blit t.npayload 0 npayload 0 cap;
+  if Array.length t.npayload > 0 then begin
+    (* Not [Array.make cap' filler]: past the minor heap's size limit,
+       making an array from a young value forces a minor collection,
+       which moves the run's GC schedule and its peak heap. Appending
+       copies instead, and the new half is reset to the filler. *)
+    let npayload = Array.append t.npayload t.npayload in
+    Array.fill npayload cap cap t.regs.(0);
+    t.npayload <- npayload
+  end;
   for i = cap to cap' - 1 do
     nnext.(i) <- (if i = cap' - 1 then -1 else i + 1)
   done;
   t.ntime <- ntime;
   t.ntag <- ntag;
   t.nnext <- nnext;
-  t.npayload <- npayload;
   t.free <- cap
 
 let alloc t =
@@ -192,13 +183,14 @@ let grow_buckets t =
   t.epoch <- t.cur land lnot t.mask;
   promote t
 
-let push_tagged t ~time ~tag payload =
+(* Link a fresh node for [time]/[tag] into the structure and return its
+   slot; the payload slot is left as it is (the filler, if any). *)
+let insert t ~time ~tag =
   if time < 0 then invalid_arg "Event_queue.push: negative time";
   if t.size >= 2 * (t.mask + 1) then grow_buckets t;
   let idx = alloc t in
   t.ntime.(idx) <- time;
   t.ntag.(idx) <- tag;
-  t.npayload.(idx) <- Obj.repr payload;
   if time >= t.epoch + t.mask + 1 then overflow_append t idx
   else if time >= t.epoch then begin
     bucket_append t (time land t.mask) idx;
@@ -216,7 +208,18 @@ let push_tagged t ~time ~tag payload =
     bucket_append t (time land t.mask) idx;
     t.win <- 1
   end;
-  t.size <- t.size + 1
+  t.size <- t.size + 1;
+  idx
+
+let push_tag t ~time ~tag = ignore (insert t ~time ~tag)
+
+let push_tagged t ~time ~tag payload =
+  let idx = insert t ~time ~tag in
+  if Array.length t.npayload = 0 then begin
+    t.npayload <- Array.make (Array.length t.ntime) payload;
+    t.regs <- [| payload; payload |]
+  end
+  else t.npayload.(idx) <- payload
 
 let push t ~time payload = push_tagged t ~time ~tag:0 payload
 
@@ -257,8 +260,10 @@ let pop_step t =
     t.size <- t.size - 1;
     t.o_time <- t.ntime.(idx);
     t.o_tag <- t.ntag.(idx);
-    t.o_payload <- t.npayload.(idx);
-    t.npayload.(idx) <- dummy;
+    if Array.length t.npayload > 0 then begin
+      t.regs.(1) <- t.npayload.(idx);
+      t.npayload.(idx) <- t.regs.(0)
+    end;
     t.nnext.(idx) <- t.free;
     t.free <- idx;
     true
@@ -266,12 +271,14 @@ let pop_step t =
 
 let out_time t = t.o_time
 let out_tag t = t.o_tag
-let out_payload (t : 'e t) : 'e = Obj.obj t.o_payload
+let out_payload t = t.regs.(1)
 
-let pop (t : 'e t) : (int * 'e) option =
+let pop t =
+  if t.size > 0 && Array.length t.regs = 0 then
+    invalid_arg "Event_queue.pop: no payload was ever pushed";
   if pop_step t then begin
-    let v : 'e = Obj.obj t.o_payload in
-    t.o_payload <- dummy;
+    let v = t.regs.(1) in
+    t.regs.(1) <- t.regs.(0);
     Some (t.o_time, v)
   end
   else None

@@ -10,8 +10,12 @@
     for events beyond the current window (promoted in bulk on epoch
     rollover), and a freelist that recycles node slots — push and pop
     are O(1) amortized and allocate nothing on the OCaml heap in steady
-    state. The original binary heap survives as {!Reference}, the model
-    the differential tests pin this structure to. *)
+    state. Payloads live in a typed ['e array], built from the first
+    payload pushed; that payload stays on as the filler released slots
+    are reset to, so a popped event is never kept alive by the queue.
+    Events pushed with {!push_tag} carry only their [int] tag. The
+    original binary heap survives as {!Reference}, the model the
+    differential tests pin this structure to. *)
 
 type 'e t
 
@@ -20,11 +24,6 @@ type 'e t
     ring for the expected standing population; both grow on demand and
     never shrink. *)
 val create : ?initial_capacity:int -> unit -> 'e t
-
-(** [clear t] empties the queue, retaining its arena and buckets, so a
-    long-lived driver can reuse one allocation across runs. Payload
-    slots are released (no space leak). *)
-val clear : 'e t -> unit
 
 val is_empty : 'e t -> bool
 val size : 'e t -> int
@@ -39,13 +38,21 @@ val push : 'e t -> time:int -> 'e -> unit
     into. [push] is [push_tagged] with tag 0. *)
 val push_tagged : 'e t -> time:int -> tag:int -> 'e -> unit
 
-(** [pop t] removes and returns the earliest event, [(time, e)]. *)
+(** [push_tag t ~time ~tag] schedules an event that is its tag alone, with
+    no payload (the simulator's ticks and scrambles). Popped, it reads
+    back the filler as its payload. *)
+val push_tag : 'e t -> time:int -> tag:int -> unit
+
+(** [pop t] removes and returns the earliest event, [(time, e)]. Raises
+    [Invalid_argument], removing nothing, on a non-empty queue that was
+    never pushed a payload. *)
 val pop : 'e t -> (int * 'e) option
 
 (** [pop_step t] removes the earliest event without allocating: it
     returns [false] on an empty queue, otherwise [true] with the event
     readable through {!out_time}, {!out_tag} and {!out_payload} until
-    the next queue operation. *)
+    the next queue operation. {!out_payload} raises [Invalid_argument]
+    if no event with a payload was ever pushed. *)
 val pop_step : 'e t -> bool
 
 val out_time : 'e t -> int

@@ -4,17 +4,18 @@ type time = int
 
 (* One step context per run, reused by every step: [now]/[self] are
    rewritten before each step, and the outbox is a pair of growable
-   parallel arrays (destinations and untyped payloads) flushed and
-   emptied after it, so sending allocates nothing once the arrays have
-   grown to the largest step's fan-out. The payload array is created
-   from an immediate, so it is never a flat float array and any ['m] can
-   be stored in it. *)
+   parallel arrays (destinations and messages) flushed and emptied after
+   it, so sending allocates nothing once the arrays have grown to the
+   largest step's fan-out. The message array is built from the first
+   message sent, and after each flush its used slots are reset to the
+   step's first message, so the outbox keeps at most one message alive
+   between steps. *)
 type ('m, 'o) ctx = {
   mutable ctx_now : time;
   mutable ctx_self : Pid.t;
   ctx_n : int;
   mutable out_dst : int array;
-  mutable out_msg : Obj.t array;
+  mutable out_msg : 'm array; (* [||] until the first send *)
   mutable out_len : int;
   mutable observations : 'o list; (* reversed *)
 }
@@ -27,23 +28,26 @@ let make_ctx n =
     ctx_self = 0;
     ctx_n = n;
     out_dst = Array.make outbox_capacity 0;
-    out_msg = Array.make outbox_capacity (Obj.repr 0);
+    out_msg = [||];
     out_len = 0;
     observations = [];
   }
 
-let grow_outbox ctx =
+let grow_outbox ctx msg =
   let cap = 2 * Array.length ctx.out_dst in
-  let dst = Array.make cap 0 and msg = Array.make cap (Obj.repr 0) in
+  let dst = Array.make cap 0 and msgs = Array.make cap msg in
   Array.blit ctx.out_dst 0 dst 0 ctx.out_len;
-  Array.blit ctx.out_msg 0 msg 0 ctx.out_len;
+  Array.blit ctx.out_msg 0 msgs 0 ctx.out_len;
   ctx.out_dst <- dst;
-  ctx.out_msg <- msg
+  ctx.out_msg <- msgs
 
-let send ctx dst (msg : 'm) =
-  if ctx.out_len = Array.length ctx.out_dst then grow_outbox ctx;
+let send ctx dst msg =
+  if ctx.out_len = Array.length ctx.out_msg then begin
+    if ctx.out_len = 0 then ctx.out_msg <- Array.make (Array.length ctx.out_dst) msg
+    else grow_outbox ctx msg
+  end;
   ctx.out_dst.(ctx.out_len) <- dst;
-  ctx.out_msg.(ctx.out_len) <- Obj.repr msg;
+  ctx.out_msg.(ctx.out_len) <- msg;
   ctx.out_len <- ctx.out_len + 1
 
 let broadcast ctx msg =
@@ -94,24 +98,21 @@ type ('s, 'o) result = {
   end_time : time;
 }
 
-(* Events travel through the queue as a packed int tag plus an untyped
-   payload slot, so the steady-state engine allocates nothing per event:
-   kind in the low 2 bits, source pid in bits 2-13, destination pid in
-   bits 14-25 (12 bits per pid field, so systems up to 4096 processes
-   pack without widening the tag word). Deliver carries the message in
-   the payload slot, Scramble the corruption function, Tick nothing. The
-   [Obj] casts are confined to this module and guarded by the kind
-   bits. *)
+(* Events travel through one ['m Event_queue.t] as a packed int tag,
+   so the steady-state engine allocates nothing per event: kind in the
+   low 2 bits, then the (source) pid in bits 2-13 (12 bits per pid
+   field, so systems up to 4096 processes pack without widening the tag
+   word). Deliver carries the message as its payload and the
+   destination pid in bits 14-25; Tick is its tag alone; Scramble keeps
+   in bits 14 and up the index of its corruption function in the run's
+   [corrupt_at] array. *)
 let kind_deliver = 0
 let kind_tick = 1
 let kind_scramble = 2
 let max_n = 4096
 let tag_pid tag = (tag lsr 2) land 0xfff
 let tag_dst tag = (tag lsr 14) land 0xfff
-
-type pool = Obj.t Event_queue.t
-
-let pool ?initial_capacity () : pool = Event_queue.create ?initial_capacity ()
+let tag_scramble tag = tag lsr 14
 
 let crashed_set config =
   List.fold_left
@@ -120,33 +121,21 @@ let crashed_set config =
 
 let correct_set config = Pidset.diff (Pidset.full config.n) (crashed_set config)
 
-let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
-    config process =
+let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) config
+    process =
   if config.tick_interval < 1 then invalid_arg "Sim.run: tick_interval < 1";
   if config.horizon < 1 then invalid_arg "Sim.run: horizon < 1";
   if config.n < 1 || config.n > max_n then
     invalid_arg (Printf.sprintf "Sim.run: n outside 1..%d" max_n);
   let rng = Rng.create config.seed in
-  let queue =
-    match pool with
-    | Some q ->
-      Event_queue.clear q;
-      q
-    | None -> Event_queue.create ()
-  in
-  let push_deliver ~time ~src ~dst (msg : 'm) =
+  let queue = Event_queue.create () in
+  let push_deliver ~time ~src ~dst msg =
     Event_queue.push_tagged queue ~time
       ~tag:(kind_deliver lor (src lsl 2) lor (dst lsl 14))
-      (Obj.repr msg)
+      msg
   in
-  let push_tick ~time p =
-    Event_queue.push_tagged queue ~time ~tag:(kind_tick lor (p lsl 2)) (Obj.repr 0)
-  in
-  let push_scramble ~time p (f : 's -> 's) =
-    Event_queue.push_tagged queue ~time
-      ~tag:(kind_scramble lor (p lsl 2))
-      (Obj.repr f)
-  in
+  let push_tick ~time p = Event_queue.push_tag queue ~time ~tag:(kind_tick lor (p lsl 2)) in
+  let scrambles = Array.of_list corrupt_at in
   let crash_time = Array.make config.n max_int in
   List.iter
     (fun (p, t) -> crash_time.(p) <- min crash_time.(p) t)
@@ -222,11 +211,11 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
           let t = now + delay ~at:now in
           if traced then
             emit (Ftss_obs.Event.make ~time:now (Ftss_obs.Event.Send { src; dst = Some dst }));
-          push_deliver ~time:t ~src ~dst (Obj.obj ctx.out_msg.(i))
+          push_deliver ~time:t ~src ~dst ctx.out_msg.(i)
         end
       done;
-      (* release the payloads: the outbox must not keep messages alive *)
-      Array.fill ctx.out_msg 0 ctx.out_len (Obj.repr 0);
+      (* release the payloads: the outbox keeps only slot 0's message *)
+      Array.fill ctx.out_msg 1 (ctx.out_len - 1) ctx.out_msg.(0);
       ctx.out_len <- 0
     end;
     match ctx.observations with
@@ -246,13 +235,13 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
   List.iter
     (fun (t, src, dst, msg) -> push_deliver ~time:t ~src ~dst msg)
     spurious;
-  List.iter
-    (fun (t, p, f) ->
+  Array.iteri
+    (fun i (t, p, _) ->
       if t < 1 then invalid_arg "Sim.run: corrupt_at time < 1";
       if not (Pid.is_valid ~n:config.n p) then
         invalid_arg "Sim.run: corrupt_at pid out of range";
-      push_scramble ~time:t p f)
-    corrupt_at;
+      Event_queue.push_tag queue ~time:t ~tag:(kind_scramble lor (p lsl 2) lor (i lsl 14)))
+    scrambles;
   let end_time = ref 0 in
   (* Profiling: like [obs], the bare path pays only an option test per
      event. Armed, the loop chains clock reads — the pop lap ends where
@@ -294,10 +283,9 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
             incr delivered;
             if traced then
               emit (Ftss_obs.Event.make ~time:t (Ftss_obs.Event.Deliver { src; dst }));
-            let msg : 'm = Obj.obj (Event_queue.out_payload queue) in
             frame_enter Prof.Phase.sim_deliver;
             enter_step dst t;
-            let s' = process.on_message ctx s ~src msg in
+            let s' = process.on_message ctx s ~src (Event_queue.out_payload queue) in
             flush_ctx ();
             if s' != s then states.(dst) <- Some s';
             frame_leave ()
@@ -327,7 +315,7 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
           let p = tag_pid tag in
           match states.(p) with
           | Some s when alive p ~at:t ->
-            let f : 's -> 's = Obj.obj (Event_queue.out_payload queue) in
+            let _, _, f = scrambles.(tag_scramble tag) in
             frame_enter Prof.Phase.sim_dispatch;
             states.(p) <- Some (f s);
             frame_leave ();
@@ -356,57 +344,19 @@ let run ?obs ?profile ?corrupt ?(corrupt_at = []) ?drop ?(spurious = []) ?pool
     end_time = !end_time;
   }
 
-(* Deterministic parallel execution of independent sub-simulations: the
-   chunked atomic work-claiming pattern from Explore, degenerating to a
-   plain sequential loop at one domain. Each shard owns its rng, queue
-   and states, so the value a shard computes is a function of its thunk
+(* Deterministic parallel execution of independent sub-simulations on
+   the shared chunked work-claimer. Each shard owns its rng, queue and
+   states, so the value a shard computes is a function of its thunk
    alone — results land in a slot per shard and the merged array is
    bit-identical whatever the domain count or claiming interleaving. *)
 let run_shards ?(domains = 1) ?profile (shards : (unit -> 'a) array) : 'a array =
-  let module Prof = Ftss_profile.Profile in
   let len = Array.length shards in
-  let domains = max 1 (min domains (max 1 len)) in
   let results = Array.make len None in
-  let shard_lane d =
-    Option.map (fun t -> Prof.lane t (Printf.sprintf "shards.d%d" d)) profile
-  in
-  let execute lane i =
-    match lane with
-    | None -> results.(i) <- Some (shards.(i) ())
-    | Some l ->
-      Prof.enter l Prof.Phase.chunk_execute;
-      results.(i) <- Some (shards.(i) ());
-      ignore (Prof.leave l)
-  in
-  if domains = 1 then begin
-    let lane = shard_lane 0 in
-    Array.iteri (fun i _ -> execute lane i) shards
-  end
-  else begin
-    let next = Atomic.make 0 in
-    let chunk = max 1 (min 64 (len / (domains * 8))) in
-    let worker d () =
-      let lane = shard_lane d in
-      let rec claim () =
-        let c0 = match lane with Some _ -> Prof.now_ns () | None -> 0 in
-        let first = Atomic.fetch_and_add next chunk in
-        (match lane with
-        | Some l -> ignore (Prof.lap l Prof.Phase.chunk_claim ~since:c0)
-        | None -> ());
-        if first < len then begin
-          let limit = min len (first + chunk) in
-          for i = first to limit - 1 do
-            execute lane i
-          done;
-          claim ()
-        end
-      in
-      claim ()
-    in
-    let spawned = Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned
-  end;
+  ignore
+    (Ftss_profile.Profile.claim_chunks ?profile ~lane:"shards"
+       ~domains:(max 1 (min domains len))
+       len ~init:ignore
+       (fun () i -> results.(i) <- Some (shards.(i) ())));
   Array.map
     (function Some r -> r | None -> assert false (* every index was claimed *))
     results

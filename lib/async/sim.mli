@@ -13,7 +13,15 @@
     protocol-specified initial state; [spurious] additionally plants
     adversarial messages in the channels (the KP90 concern that the
     initial state "falsely indicates that every process has sent a
-    message"). *)
+    message").
+
+    The engine is typed end to end: one ['m Event_queue.t] per run holds
+    every pending event as a packed int tag, deliveries with their ['m]
+    as payload, ticks and mid-run scrambles as the tag alone (a scramble
+    names its [corrupt_at] entry by index), and the step context's
+    outbox is an ['m array]. Past set-up and the growth of these arrays
+    to a run's high-water mark, the event loop allocates nothing per
+    event. *)
 
 open Ftss_util
 
@@ -109,21 +117,8 @@ type ('s, 'o) result = {
     [Corrupt] event is emitted at the fault time when traced. Entries for
     already-crashed processes are ignored. Raises [Invalid_argument] on
     non-positive [tick_interval] or [horizon], an [n] outside
-    [1..max_n], a
-    [corrupt_at] time < 1, or a [corrupt_at] pid outside the system.
-
-    [pool], when given, supplies a reusable event-queue arena: the run
-    clears and reuses its buckets and node slots instead of allocating a
-    fresh queue, so a driver executing many simulations back to back
-    pays the queue's allocation once. A pool must not be shared between
-    concurrently running simulations. *)
-
-(** A reusable event-queue arena for {!run}'s [?pool] argument. *)
-type pool
-
-(** [pool ?initial_capacity ()] allocates an arena sized for the
-    expected standing event population (it grows on demand). *)
-val pool : ?initial_capacity:int -> unit -> pool
+    [1..max_n], a [corrupt_at] time < 1, or a [corrupt_at] pid outside
+    the system. Same-time scrambles apply in list order. *)
 
 val run :
   ?obs:Ftss_obs.Obs.t ->
@@ -132,7 +127,6 @@ val run :
   ?corrupt_at:(time * Pid.t * ('s -> 's)) list ->
   ?drop:(time:time -> src:Pid.t -> dst:Pid.t -> bool) ->
   ?spurious:(time * Pid.t * Pid.t * 'm) list ->
-  ?pool:pool ->
   config ->
   ('s, 'm, 'o) process ->
   ('s, 'o) result
@@ -146,9 +140,9 @@ val run :
 
 (** [run_shards ?domains shards] executes the independent sub-simulation
     thunks in [shards] and returns their results in shard order. With
-    [domains > 1] the shards are claimed by that many domains using
-    chunked atomic work-stealing; every shard owns its rng, queue and
-    states, so the result array is bit-identical whatever the domain
+    [domains > 1] the shards are claimed by that many domains through
+    {!Ftss_profile.Profile.claim_chunks}; every shard owns its rng, queue
+    and states, so the result array is bit-identical whatever the domain
     count — the merge rule the sharded service driver and the golden
     digest tests rely on. [domains] is clamped to [1 .. length shards].
 

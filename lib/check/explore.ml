@@ -5,7 +5,7 @@ let seconds_since t0 = float_of_int (Prof.now_ns () - t0) *. 1e-9
 
 type result = { fingerprint : string; ok : bool; detail : string; states : int }
 
-type domain_stat = { d_cases : int; d_states : int; d_busy : float }
+type domain_stat = { d_cases : int; d_states : int }
 
 type stats = {
   cases : int;
@@ -58,109 +58,68 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
   let len = Array.length cases in
   let domains = max 1 (min domains 64) in
   let results = Array.make len None in
-  let next = Atomic.make 0 in
-  (* Chunked work claiming: one [fetch_and_add] hands a domain [chunk]
-     consecutive cases, so cache-line contention on the cursor is paid
-     once per chunk rather than once per case. Small enough chunks keep
-     the tail balanced across domains. *)
-  let chunk = max 1 (min 64 (len / (domains * 8))) in
   let traced = Option.is_some obs in
   let emit ev = match obs with Some o -> Ftss_obs.Obs.emit o ev | None -> () in
   (* Obs.emit and Obs.with_metrics serialize on the hub mutex, so the
      worker domains may share one hub; event construction is guarded on
-     [traced] to keep the no-hub path allocation-free. *)
-  let worker d () =
-    (* Lane per domain: claim latency ([chunk_claim]) and chunk execution
-       ([chunk_execute]) are attributed without any cross-domain
-       synchronization beyond lane creation itself. *)
-    let lane =
-      Option.map (fun t -> Prof.lane t (Printf.sprintf "explore.d%d" d)) profile
+     [traced] to keep the no-hub path allocation-free.
+
+     Each domain's state is its verdict cache — no lock on the per-case
+     path — and its case and state counts. Verdicts are pure functions
+     of the fingerprinted execution, so a domain recomputing a
+     fingerprint another domain has already seen produces the identical
+     verdict; per-domain caching costs at most that recomputation and
+     never changes a result. The reported dedup statistics are not read
+     from these caches: they are recomputed deterministically from the
+     merged per-case fingerprints below. *)
+  let case (cache, my_cases, my_states) i =
+    if traced then begin
+      emit (Ftss_obs.Event.make ~time:i (Ftss_obs.Event.Case_start { case = i }));
+      match obs with
+      | Some o ->
+        Ftss_obs.Obs.with_metrics o (fun m ->
+            Ftss_obs.Metrics.lobserve
+              (Ftss_obs.Metrics.lhist m "explore_queue_depth")
+              (float_of_int (len - i)))
+      | None -> ()
+    end;
+    let r = property.Property.run cases.(i) in
+    let cached = Hashtbl.find_opt cache r.Property.fingerprint in
+    let verdict =
+      match cached with
+      | Some v -> v
+      | None ->
+        let v = Lazy.force r.Property.verdict in
+        Hashtbl.add cache r.Property.fingerprint v;
+        v
     in
-    (* The verdict cache, one per domain — no lock on the per-case path.
-       Verdicts are pure functions of the fingerprinted execution, so a
-       domain recomputing a fingerprint another domain has already seen
-       produces the identical verdict; per-domain caching costs at most
-       that recomputation and never changes a result. The reported dedup
-       statistics are not read from these caches: they are recomputed
-       deterministically from the merged per-case fingerprints below. *)
-    let cache = Hashtbl.create 256 in
-    let my_cases = ref 0 and my_states = ref 0 and my_busy = ref 0. in
-    let case i =
-      if traced then begin
-        emit (Ftss_obs.Event.make ~time:i (Ftss_obs.Event.Case_start { case = i }));
-        match obs with
-        | Some o ->
-          Ftss_obs.Obs.with_metrics o (fun m ->
-              Ftss_obs.Metrics.observe
-                (Ftss_obs.Metrics.histogram m "explore_queue_depth")
-                (float_of_int (len - i)))
-        | None -> ()
-      end;
-      let r = property.Property.run cases.(i) in
-      let cached = Hashtbl.find_opt cache r.Property.fingerprint in
-      let verdict =
-        match cached with
-        | Some v -> v
-        | None ->
-          let v = Lazy.force r.Property.verdict in
-          Hashtbl.add cache r.Property.fingerprint v;
-          v
-      in
-      incr my_cases;
-      my_states := !my_states + r.Property.states;
-      if traced then
-        emit
-          (Ftss_obs.Event.make ~time:i
-             (Ftss_obs.Event.Case_verdict
-                {
-                  case = i;
-                  ok = verdict.Property.ok;
-                  dedup = Option.is_some cached;
-                  states = r.Property.states;
-                }));
-      results.(i) <-
-        Some
-          {
-            fingerprint = r.Property.fingerprint;
-            ok = verdict.Property.ok;
-            detail = verdict.Property.detail;
-            states = r.Property.states;
-          }
-    in
-    let rec claim () =
-      let c0 = match lane with Some _ -> Prof.now_ns () | None -> 0 in
-      let first = Atomic.fetch_and_add next chunk in
-      (match lane with
-      | Some l -> ignore (Prof.lap l Prof.Phase.chunk_claim ~since:c0)
-      | None -> ());
-      if first < len then begin
-        let limit = min len (first + chunk) in
-        (* The clock is read once per chunk, not once per case. *)
-        let t0 = Prof.now_ns () in
-        (match lane with
-        | Some l -> Prof.enter l Prof.Phase.chunk_execute
-        | None -> ());
-        for i = first to limit - 1 do
-          case i
-        done;
-        (match lane with Some l -> ignore (Prof.leave l) | None -> ());
-        my_busy := !my_busy +. seconds_since t0;
-        claim ()
-      end
-    in
-    claim ();
-    { d_cases = !my_cases; d_states = !my_states; d_busy = !my_busy }
+    incr my_cases;
+    my_states := !my_states + r.Property.states;
+    if traced then
+      emit
+        (Ftss_obs.Event.make ~time:i
+           (Ftss_obs.Event.Case_verdict
+              {
+                case = i;
+                ok = verdict.Property.ok;
+                dedup = Option.is_some cached;
+                states = r.Property.states;
+              }));
+    results.(i) <-
+      Some
+        {
+          fingerprint = r.Property.fingerprint;
+          ok = verdict.Property.ok;
+          detail = verdict.Property.detail;
+          states = r.Property.states;
+        }
   in
   let t0 = Prof.now_ns () in
   let per_domain =
-    if domains = 1 then [| worker 0 () |]
-    else begin
-      let spawned =
-        Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-      in
-      let mine = worker 0 () in
-      Array.append [| mine |] (Array.map Domain.join spawned)
-    end
+    Prof.claim_chunks ?profile ~lane:"explore" ~domains len
+      ~init:(fun _ -> (Hashtbl.create 256, ref 0, ref 0))
+      case
+    |> Array.map (fun (_, c, s) -> { d_cases = !c; d_states = !s })
   in
   let elapsed = seconds_since t0 in
   let merge_lane = Option.map (fun t -> Prof.lane t "explore.main") profile in
@@ -216,13 +175,7 @@ let run ?obs ?profile ?(domains = 1) ?(canonical = false) (property : Property.t
         set "explore_runs_per_sec"
           (if elapsed > 0. then float_of_int len /. elapsed else 0.);
         set "explore_states_per_sec"
-          (if elapsed > 0. then float_of_int !states /. elapsed else 0.);
-        Array.iteri
-          (fun d ds ->
-            set
-              (Printf.sprintf "explore_domain_utilization.%d" d)
-              (if elapsed > 0. then ds.d_busy /. elapsed else 0.))
-          per_domain));
+          (if elapsed > 0. then float_of_int !states /. elapsed else 0.)));
   (stats, results)
 
 (* Throughput and dedup are rates over the runs actually executed — the
@@ -258,15 +211,7 @@ let to_json s =
         List
           (Array.to_list
              (Array.map
-                (fun d ->
-                  Obj
-                    [
-                      ("cases", Int d.d_cases);
-                      ("states", Int d.d_states);
-                      ("busy", Float d.d_busy);
-                      ( "utilization",
-                        Float (if s.elapsed > 0. then d.d_busy /. s.elapsed else 0.) );
-                    ])
+                (fun d -> Obj [ ("cases", Int d.d_cases); ("states", Int d.d_states) ])
                 s.per_domain)) );
     ]
 
@@ -289,8 +234,6 @@ let pp_stats ppf s =
     (runs_per_sec s) (states_per_sec s);
   Array.iteri
     (fun d ds ->
-      Format.fprintf ppf "@,  domain %d: %d cases, %d states, %.0f%% busy" d ds.d_cases
-        ds.d_states
-        (if s.elapsed > 0. then 100. *. ds.d_busy /. s.elapsed else 0.))
+      Format.fprintf ppf "@,  domain %d: %d cases, %d states" d ds.d_cases ds.d_states)
     s.per_domain;
   Format.fprintf ppf "@]"

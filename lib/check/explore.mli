@@ -1,6 +1,7 @@
 (** Parallel exhaustive exploration of an enumerated adversary space.
 
-    A work queue over OCaml 5 [Domain]s: an atomic cursor hands each
+    A work queue over OCaml 5 [Domain]s
+    ({!Ftss_profile.Profile.claim_chunks}): an atomic cursor hands each
     domain a chunk of consecutive case indices (one [fetch_and_add] per
     chunk, not per case); each domain executes the chunk's protocol runs,
     consults its {e own} fingerprint table — no lock anywhere on the
@@ -17,10 +18,9 @@
 (** Per-case outcome, in enumeration order. *)
 type result = { fingerprint : string; ok : bool; detail : string; states : int }
 
-(** What one worker domain did: case and state counts plus the seconds it
-    spent executing cases (its busy time; [d_busy /. elapsed] is its
-    utilization). *)
-type domain_stat = { d_cases : int; d_states : int; d_busy : float }
+(** What one worker domain did: its case and state counts. Per-domain
+    time is recorded by the [?profile] lanes. *)
+type domain_stat = { d_cases : int; d_states : int }
 
 type stats = {
   cases : int;  (** cases covered (the caller's whole array) *)
@@ -65,10 +65,9 @@ type stats = {
     domain's own verdict cache — an underapproximation of the
     deterministic [dedup_hits] figure; under [canonical] the event indices
     refer to the representative array), the work-queue depth at each case
-    lands in the ["explore_queue_depth"] histogram, and the merged
-    throughput and per-domain utilization are recorded as gauges. All hub
-    access serializes on the hub's own mutex. Per-domain busy time is
-    clocked once per claimed chunk. *)
+    lands in the ["explore_queue_depth"] log-bucket histogram, and the
+    merged throughput is recorded as gauges. All hub access serializes on
+    the hub's own mutex. *)
 val run :
   ?obs:Ftss_obs.Obs.t ->
   ?profile:Ftss_profile.Profile.t ->
@@ -91,8 +90,8 @@ val dedup_rate : stats -> float
     covered; 1.0 without [~canonical:true]. *)
 val symmetry_reduction : stats -> float
 
-(** The stats as one JSON object (throughput and per-domain utilization
-    included) — what [ftss check --json] prints. *)
+(** The stats as one JSON object (throughput and per-domain case and
+    state counts included) — what [ftss check --json] prints. *)
 val to_json : stats -> Ftss_obs.Json.t
 
 val pp_stats : Format.formatter -> stats -> unit

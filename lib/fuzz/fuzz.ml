@@ -53,39 +53,22 @@ let shrink_genome prop g =
 let eval_batch ~domains ~caches (prop : P.t) (genomes : Mutate.t array) =
   let len = Array.length genomes in
   let results = Array.make len None in
-  let next = Atomic.make 0 in
-  let chunk = max 1 (min 64 (len / (domains * 8))) in
-  let worker d () =
-    let cache = caches.(d) in
-    let rec claim () =
-      let first = Atomic.fetch_and_add next chunk in
-      if first < len then begin
-        let limit = min len (first + chunk) in
-        for i = first to limit - 1 do
-          let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
-          let verdict =
-            match Hashtbl.find_opt cache r.P.fingerprint with
-            | Some v -> v
-            | None ->
-              let v = Lazy.force r.P.verdict in
-              Hashtbl.add cache r.P.fingerprint v;
-              v
-          in
-          results.(i) <- Some (r.P.fingerprint, Lazy.force r.P.signature, verdict)
-        done;
-        claim ()
-      end
+  let eval cache i =
+    let r = prop.P.run_adv (Mutate.to_adversary genomes.(i)) in
+    let verdict =
+      match Hashtbl.find_opt cache r.P.fingerprint with
+      | Some v -> v
+      | None ->
+        let v = Lazy.force r.P.verdict in
+        Hashtbl.add cache r.P.fingerprint v;
+        v
     in
-    claim ()
+    results.(i) <- Some (r.P.fingerprint, Lazy.force r.P.signature, verdict)
   in
-  (if domains = 1 || len < 2 then worker 0 ()
-   else begin
-     let spawned =
-       Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> worker (d + 1) ()))
-     in
-     worker 0 ();
-     Array.iter Domain.join spawned
-   end);
+  ignore
+    (Ftss_profile.Profile.claim_chunks ~lane:"fuzz"
+       ~domains:(if len < 2 then 1 else domains)
+       len ~init:(Array.get caches) eval);
   Array.map (function Some r -> r | None -> assert false) results
 
 let run ?obs ?profile (config : config) (prop : P.t) =

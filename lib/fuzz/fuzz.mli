@@ -17,8 +17,8 @@
       execution fingerprint or new per-round signature word) enter the
       corpus — capped at 4096 entries — and become parents.
 
-    Batches evaluate in parallel over OCaml 5 domains with the chunked
-    atomic work-claiming of {!Ftss_check.Explore}, but generation and
+    Batches evaluate in parallel over OCaml 5 domains on the chunked
+    work-claimer {!Ftss_profile.Profile.claim_chunks}, but generation and
     the coverage/violation merge are single-threaded and in batch order,
     so the outcome — corpus, coverage curve, violations — is
     deterministic and independent of the domain count; only wall-clock

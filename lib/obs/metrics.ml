@@ -1,24 +1,13 @@
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
 
-let reservoir_capacity = 4096
-
-type histogram = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  reservoir : float array; (* first [reservoir_capacity] samples *)
-  mutable retained : int;
-}
-
 (* Log-bucketed (HDR-style) histogram: geometric buckets at ratio
    2^(1/8), so every recorded value lands in a bucket within ~9% of its
-   true magnitude. Unlike the reservoir above — which keeps only the
-   first [reservoir_capacity] samples and therefore skews long-run
-   percentiles toward warm-up — bucket counts absorb every sample, so
-   percentile estimates stay unbiased on unbounded streams. Preallocated,
-   O(1) observe, O(buckets) percentile. *)
+   true magnitude. Unlike a first-N reservoir — which keeps only the
+   first samples and therefore skews long-run percentiles toward
+   warm-up — bucket counts absorb every sample, so percentile estimates
+   stay unbiased on unbounded streams. Preallocated, O(1) observe,
+   O(buckets) percentile. *)
 
 let lhist_buckets = 256
 let lhist_gamma = 2. ** 0.125
@@ -93,7 +82,6 @@ let lpercentile h p =
 type t = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
   lhists : (string, lhist) Hashtbl.t;
 }
 
@@ -101,14 +89,12 @@ let create () =
   {
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
-    histograms = Hashtbl.create 8;
     lhists = Hashtbl.create 8;
   }
 
 let is_empty t =
   Hashtbl.length t.counters = 0
   && Hashtbl.length t.gauges = 0
-  && Hashtbl.length t.histograms = 0
   && Hashtbl.length t.lhists = 0
 
 let get_or_create table name fresh =
@@ -129,42 +115,6 @@ let set g v = g.value <- v
 let gauge_value g = g.value
 
 let lhist t name = get_or_create t.lhists name lhist_create
-
-let histogram t name =
-  get_or_create t.histograms name (fun () ->
-      {
-        h_count = 0;
-        h_sum = 0.;
-        h_min = infinity;
-        h_max = neg_infinity;
-        reservoir = Array.make reservoir_capacity 0.;
-        retained = 0;
-      })
-
-let observe h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  if h.retained < reservoir_capacity then begin
-    h.reservoir.(h.retained) <- v;
-    h.retained <- h.retained + 1
-  end
-
-let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
-
-let percentile h p =
-  if p < 0. || p > 100. then invalid_arg "Metrics.percentile: p outside [0, 100]";
-  if h.retained = 0 then nan
-  else begin
-    let sorted = Array.sub h.reservoir 0 h.retained in
-    Array.sort compare sorted;
-    let rank =
-      int_of_float (ceil (p /. 100. *. float_of_int h.retained)) - 1
-    in
-    sorted.(max 0 (min (h.retained - 1) rank))
-  end
 
 (* --- standard derivations from the event taxonomy --- *)
 
@@ -192,7 +142,7 @@ let record_event t ev =
   | Event.Decide _ -> inc (counter t "decisions")
   | Event.Window_open -> inc (counter t "stable_windows")
   | Event.Window_close { measured; _ } ->
-    observe (histogram t "stabilization") (float_of_int measured)
+    lobserve (lhist t "stabilization") (float_of_int measured)
   | Event.Case_start _ -> inc (counter t "checker_cases_started")
   | Event.Case_verdict { ok; dedup; states; _ } ->
     inc (counter t "checker_cases");
@@ -211,7 +161,7 @@ let record_event t ev =
   | Event.Apply _ -> inc (counter t "slots_applied")
   | Event.Recover { slots; _ } ->
     inc (counter t "recoveries");
-    observe (histogram t "recovery_slots") (float_of_int slots)
+    lobserve (lhist t "recovery_slots") (float_of_int slots)
 
 (* --- export --- *)
 
@@ -219,24 +169,9 @@ let sorted_bindings table =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let histogram_json h =
-  if h.h_count = 0 then Json.Obj [ ("count", Json.Int 0) ]
-  else
-    Json.Obj
-      [
-        ("count", Json.Int h.h_count);
-        ("sum", Json.Float h.h_sum);
-        ("min", Json.Float h.h_min);
-        ("max", Json.Float h.h_max);
-        ("mean", Json.Float (h.h_sum /. float_of_int h.h_count));
-        ("p50", Json.Float (percentile h 50.));
-        ("p95", Json.Float (percentile h 95.));
-        ("p99", Json.Float (percentile h 99.));
-      ]
-
-(* Log-bucket histograms export the same field set as reservoir ones (so
-   bench-diff and any snapshot consumer read both alike), plus a "kind"
-   tag and the unbiased tail quantile the reservoir cannot provide. *)
+(* Histograms export count/sum/min/max/mean and p50/p95/p99 (the field
+   set bench-diff and snapshot consumers read), the p999 tail and a
+   "kind" tag. *)
 let lhist_json h =
   if h.l_count = 0 then Json.Obj [ ("count", Json.Int 0); ("kind", Json.String "logbucket") ]
   else
@@ -255,11 +190,7 @@ let lhist_json h =
       ]
 
 let to_json t =
-  let histograms =
-    List.map (fun (k, h) -> (k, histogram_json h)) (sorted_bindings t.histograms)
-    @ List.map (fun (k, h) -> (k, lhist_json h)) (sorted_bindings t.lhists)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let histograms = List.map (fun (k, h) -> (k, lhist_json h)) (sorted_bindings t.lhists) in
   Json.Obj
     [
       ( "counters",
@@ -285,16 +216,6 @@ let pp_summary ppf t =
       cut ();
       Format.fprintf ppf "%-32s %.3f" k g.value)
     (sorted_bindings t.gauges);
-  List.iter
-    (fun (k, h) ->
-      cut ();
-      if h.h_count = 0 then Format.fprintf ppf "%-32s (empty)" k
-      else
-        Format.fprintf ppf "%-32s count=%d mean=%.2f min=%.0f max=%.0f p95=%.0f" k
-          h.h_count
-          (h.h_sum /. float_of_int h.h_count)
-          h.h_min h.h_max (percentile h 95.))
-    (sorted_bindings t.histograms);
   List.iter
     (fun (k, h) ->
       cut ();

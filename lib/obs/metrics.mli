@@ -1,7 +1,7 @@
-(** The metrics registry: named counters, gauges and histograms,
-    exportable as one JSON document or a text summary.
+(** The metrics registry: named counters, gauges and log-bucket
+    histograms, exportable as one JSON document or a text summary.
 
-    Instruments are created on first use ([counter]/[gauge]/[histogram]
+    Instruments are created on first use ([counter]/[gauge]/[lhist]
     are get-or-create) and updates are O(1) field mutations, so recording
     is cheap enough for per-message call sites. The registry itself is not
     synchronized: concurrent producers must serialize through {!Obs}
@@ -13,8 +13,8 @@
     crash counts, the stabilization-time histogram from window-close
     events, checker case/violation/dedup counters — so any component that
     emits events gets its metrics for free; components may additionally
-    record bespoke instruments (explorer throughput, per-domain
-    utilization) directly. *)
+    record bespoke instruments (explorer throughput, work-queue depth)
+    directly. *)
 
 type t
 
@@ -36,32 +36,16 @@ val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-(** Histograms retain exact count/sum/min/max plus the first
-    [reservoir_capacity] samples for percentile estimates. *)
-type histogram
-
-val histogram : t -> string -> histogram
-val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-(** [percentile h p] with [p] in [0,100], nearest-rank over the retained
-    samples; [nan] when empty. *)
-val percentile : histogram -> float -> float
-
-val reservoir_capacity : int
-
 (** Log-bucketed (HDR-style) histogram: geometric buckets at ratio
     2{^1/8}, preallocated, O(1) observe, O(buckets) percentile. Every
-    sample lands in a bucket, so — unlike the first-N reservoir above —
+    sample lands in a bucket, so — unlike a first-N reservoir —
     percentiles stay unbiased on unbounded streams; the price is a
     bounded relative error per estimate ({!lhist_error}, ~4.4%).
     Count/sum/min/max stay exact. *)
 type lhist
 
 (** Registry-attached get-or-create; exported under "histograms" in
-    {!to_json} with the same field set as reservoir histograms (plus a
-    ["kind"] tag and ["p999"]). *)
+    {!to_json}. *)
 val lhist : t -> string -> lhist
 
 (** A standalone instance, for single-owner instruments (streaming
@@ -96,7 +80,7 @@ val lhist_error : float
 val record_event : t -> Event.t -> unit
 
 (** Snapshot:
-    [{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,min,max,mean,p50,p95,p99}}}],
+    [{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,min,max,mean,p50,p95,p99,p999,kind}}}],
     names sorted. *)
 val to_json : t -> Json.t
 

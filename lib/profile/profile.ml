@@ -311,6 +311,42 @@ let lap l p ~since =
     t1
   end
 
+(* --- chunked parallel work-claiming --- *)
+
+(* One atomic cursor hands each domain [chunk] consecutive indices per
+   [fetch_and_add], so contention on the cursor is paid once per chunk
+   rather than once per index; small enough chunks keep the tail
+   balanced across domains. *)
+let claim_chunks ?profile ~lane:prefix ~domains len ~init work =
+  let domains = max 1 domains in
+  let next = Atomic.make 0 in
+  let chunk = max 1 (min 64 (len / (domains * 8))) in
+  let worker d () =
+    let l = Option.map (fun t -> lane t (Printf.sprintf "%s.d%d" prefix d)) profile in
+    let w = init d in
+    let rec claim () =
+      let c0 = match l with Some _ -> now_ns () | None -> 0 in
+      let first = Atomic.fetch_and_add next chunk in
+      (match l with Some l -> ignore (lap l Phase.chunk_claim ~since:c0) | None -> ());
+      if first < len then begin
+        (match l with Some l -> enter l Phase.chunk_execute | None -> ());
+        for i = first to min len (first + chunk) - 1 do
+          work w i
+        done;
+        (match l with Some l -> ignore (leave l) | None -> ());
+        claim ()
+      end
+    in
+    claim ();
+    w
+  in
+  if domains = 1 then [| worker 0 () |]
+  else begin
+    let spawned = Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
+    let mine = worker 0 () in
+    Array.append [| mine |] (Array.map Domain.join spawned)
+  end
+
 (* --- export --- *)
 
 (* Export runs after the instrumented work has quiesced; flush under the

@@ -150,6 +150,29 @@ val lap : lane -> phase -> since:int -> int
     returns [now] — the chained one-clock-read-per-transition form used
     by the simulator loop. Disarmed lanes return [since] unchanged. *)
 
+(** {1 Parallel work} *)
+
+val claim_chunks :
+  ?profile:t ->
+  lane:string ->
+  domains:int ->
+  int ->
+  init:(int -> 'w) ->
+  ('w -> int -> unit) ->
+  'w array
+(** [claim_chunks ?profile ~lane ~domains len ~init work] calls
+    [work w i] once for every index [i] in [0 .. len - 1], on the calling
+    domain plus [domains - 1] spawned ones (one domain, nothing spawned,
+    when [domains <= 1]). Domains claim chunks of
+    [max 1 (min 64 (len / (domains * 8)))] consecutive indices off one
+    atomic cursor. Domain [d]'s [w] is [init d], built on that domain
+    and returned at index [d] after the join. Which domain runs an index
+    depends on the interleaving, so [work] must write its result by
+    index for the outcome to be independent of the domain count. With
+    [profile], domain [d] records on lane [<lane>.d<d>]: a [chunk_claim]
+    lap around each claim and a [chunk_execute] frame around each chunk.
+    Unset, the instrumentation is one option test per chunk. *)
+
 (** {1 Export} *)
 
 type phase_total = {
